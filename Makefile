@@ -78,11 +78,11 @@ fault-smoke:
 # warmstart-smoke is the snapshot/warm-start tripwire CI runs under the
 # race detector, full-length: both engines' snapshot batteries (bit-exact
 # continuation goldens, wire round-trips, reject paths), the adaptive
-# sequential-stopping pool (a concurrency surface: workers inject batch
-# tasks mid-flight), warm-start ladder chains, control variates, and the
-# CRN paired-difference design.
+# sequential-stopping pool of the shared sweep driver (a concurrency
+# surface: workers inject batch tasks mid-flight), warm-start ladder
+# chains, and the CRN paired-difference design.
 warmstart-smoke:
-	go test -race -count=1 -timeout 300s -run 'Snapshot|WarmStart|Adaptive|ControlVariate|CRN' ./internal/sim/ ./internal/stepsim/
+	go test -race -count=1 -timeout 300s -run 'Snapshot|WarmStart|Adaptive|CRN' ./internal/sim/ ./internal/stepsim/ ./internal/sweep/
 
 # bench runs the hot-path benchmarks with allocation reporting.
 bench:

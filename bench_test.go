@@ -17,6 +17,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stepsim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -321,14 +322,12 @@ func BenchmarkStepSlotsLookahead(b *testing.B) {
 //   - adaptive: sequential stopping alone — points stop as soon as their
 //     95% half-width is under the target, so easy (low-ρ) points stop at
 //     MinReps and only the hard ones spend the budget;
-//   - adaptive-cv-warm: stopping plus both variance reducers — the
-//     control-variate estimator of record (fewer replicas buy the same
-//     half-width) and snapshot warm-starts along the ladder (each replica
-//     resumes the previous point's steady state, replacing the full
-//     warmup with Slots/8 of re-warm).
+//   - warm: stopping plus snapshot warm-starts along the ladder
+//     (each replica resumes the previous point's steady state, replacing
+//     the full warmup with Slots/8 of re-warm).
 //
 // replicas/op is the total replica count across the ladder per sweep; the
-// wall-clock ratio fixed/adaptive-cv-warm at this size is the small-scale
+// wall-clock ratio fixed/warm at this size is the small-scale
 // proxy for the 64×64 measurement in BENCH.md ("Variance reduction"),
 // reproducible at full scale with examples/adaptivesweep.
 func BenchmarkSweepAdaptive(b *testing.B) {
@@ -348,7 +347,12 @@ func BenchmarkSweepAdaptive(b *testing.B) {
 		b.Fatal(err)
 	}
 	const budget = 16
-	base, err := stepsim.RunSweepAdaptive(context.Background(), cfgs, stepsim.SweepOpts{Replicas: budget, Workers: 4})
+	run := func(cfgs []stepsim.Config, opts sweep.Opts) ([]stepsim.ReplicaSet, error) {
+		return sweep.Collect(len(cfgs), func(emit func(int, stepsim.ReplicaSet, error)) {
+			stepsim.StreamSweepAdaptive(context.Background(), cfgs, opts, emit)
+		})
+	}
+	base, err := run(cfgs, sweep.Opts{Replicas: budget, Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -360,25 +364,25 @@ func BenchmarkSweepAdaptive(b *testing.B) {
 	}
 	modes := []struct {
 		name string
-		opts stepsim.SweepOpts
+		opts sweep.Opts
 	}{
-		{"fixed", stepsim.SweepOpts{Replicas: budget, Workers: 4}},
-		{"adaptive", stepsim.SweepOpts{TargetCI: target, MinReps: 4, MaxReps: budget, Workers: 4}},
-		{"adaptive-cv-warm", stepsim.SweepOpts{
+		{"fixed", sweep.Opts{Replicas: budget, Workers: 4}},
+		{"adaptive", sweep.Opts{TargetCI: target, MinReps: 4, MaxReps: budget, Workers: 4}},
+		{"warm", sweep.Opts{
 			TargetCI: target, MinReps: 4, MaxReps: budget, Workers: 4,
-			ControlVariates: true, WarmStart: true, RewarmSlots: cfgs[0].Slots / 8,
+			WarmStart: true, Rewarm: float64(cfgs[0].Slots / 8),
 		}},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			var replicas int64
-			run := make([]stepsim.Config, len(cfgs))
+			ladder := make([]stepsim.Config, len(cfgs))
 			for i := 0; i < b.N; i++ {
-				copy(run, cfgs)
-				for j := range run {
-					run[j].Seed += uint64(i) << 32
+				copy(ladder, cfgs)
+				for j := range ladder {
+					ladder[j].Seed += uint64(i) << 32
 				}
-				sets, err := stepsim.RunSweepAdaptive(context.Background(), run, m.opts)
+				sets, err := run(ladder, m.opts)
 				if err != nil {
 					b.Fatal(err)
 				}

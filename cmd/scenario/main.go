@@ -63,8 +63,6 @@ commands:
                  targetCI; 0 keeps fixed replicas)
       -min-reps  adaptive mode: minimum replicas per point
       -max-reps  adaptive mode: replica cap per point
-      -cv        control variates: regress the known arrival count out of
-                 the delay estimate (Poisson scenarios only)
       -warm-start chain engine snapshots up the load ladder instead of
                  cold-starting every point (Poisson scenarios only)
       -rewarm    warm-started points' warmup in slots (-1: keep the
@@ -204,7 +202,6 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 		targetCI = fs.Float64("target-ci", 0, "adaptive replica stopping target half-width (overrides the scenario's targetCI)")
 		minReps  = fs.Int("min-reps", 0, "adaptive minimum replicas per point (overrides the scenario's minReplicas)")
 		maxReps  = fs.Int("max-reps", 0, "adaptive replica cap per point (overrides the scenario's maxReplicas)")
-		cv       = fs.Bool("cv", false, "control variates: regress the known arrival count out of the delay estimate")
 		warm     = fs.Bool("warm-start", false, "chain engine snapshots up the load ladder")
 		rewarm   = fs.Int("rewarm", -1, "warm-started points' warmup in slots (-1: keep the scenario's rewarmSlots)")
 	)
@@ -257,8 +254,8 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 		s.Lookahead = *lookahd
 	}
 	// Variance-reduction overrides ride on the scenario before Bind so the
-	// spec-level validation (Poisson-only control variates / warm starts,
-	// min <= max) applies to the effective combination.
+	// spec-level validation (Poisson-only warm starts, min <= max) applies
+	// to the effective combination.
 	if *targetCI > 0 {
 		s.TargetCI = *targetCI
 	}
@@ -267,9 +264,6 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 	}
 	if *maxReps > 0 {
 		s.MaxReplicas = *maxReps
-	}
-	if *cv {
-		s.ControlVariates = true
 	}
 	if *warm {
 		s.WarmStart = true
@@ -354,9 +348,9 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 		}
 		out.Points = append(out.Points, pr)
 	}
-	// Any variance-reduction knob (spec field or flag) routes through the
-	// adaptive pool; otherwise the original fixed-replica path runs.
-	adaptive := s.TargetCI > 0 || s.ControlVariates || s.WarmStart
+	// One replication policy for both engines: the scenario's fixed
+	// replicas unless it (or a flag) sets targetCI or warmStart.
+	opts := b.SweepOpts(*workers)
 	if slotted {
 		cfgs, err := b.SlottedConfigs()
 		if err != nil {
@@ -366,20 +360,12 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 		emitFn := func(i int, rs stepsim.ReplicaSet, err error) {
 			record(i, rs.MeanDelay, rs.DelayCI, rs.MeanN, rs.MeanActiveEdges, rs.ArrivalSlotFraction, rs.ReplicasUsed, err)
 		}
-		if adaptive {
-			stepsim.StreamSweepAdaptive(context.Background(), cfgs, b.SlottedSweepOpts(*workers), emitFn)
-		} else {
-			stepsim.StreamSweep(context.Background(), cfgs, b.Scenario.Replicas, *workers, emitFn)
-		}
+		stepsim.StreamSweepAdaptive(context.Background(), cfgs, opts, emitFn)
 	} else {
 		emitFn := func(i int, rs sim.ReplicaSet, err error) {
 			record(i, rs.MeanDelay, rs.DelayCI, rs.MeanN, 0, 0, rs.ReplicasUsed, err)
 		}
-		if adaptive {
-			sim.StreamSweepAdaptive(context.Background(), b.Configs, b.SweepOpts(*workers), emitFn)
-		} else {
-			sim.StreamSweep(context.Background(), b.Configs, b.Scenario.Replicas, *workers, emitFn)
-		}
+		sim.StreamSweepAdaptive(context.Background(), b.Configs, opts, emitFn)
 	}
 	if *jsonOut {
 		data, err := json.MarshalIndent(out, "", "  ")

@@ -175,12 +175,14 @@ func TestRunSlottedEngine(t *testing.T) {
 }
 
 // TestRunDenseFlag pins the retired knobs: the slotted engine has a
-// single execution body and a single control variate, so -dense and -md1
-// are refused as unknown flags (exit 2, naming the flag) on either engine.
+// single execution body and sweeps have no control variates, so -dense,
+// -md1 and -cv are refused as unknown flags (exit 2, naming the flag) on
+// either engine.
 // The slotted table still carries the occupancy columns.
 func TestRunDenseFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-dense"}, {"-engine", "slotted", "-dense"}, {"-md1"}, {"-engine", "slotted", "-md1"},
+		{"-cv"}, {"-engine", "slotted", "-cv"},
 	} {
 		code, _, errOut := runCapture(t, append([]string{"run", "uniform-8x8", "-quick"}, args...)...)
 		if code != 2 || !strings.Contains(errOut, args[len(args)-1]) {
@@ -276,7 +278,7 @@ func TestRunAdaptiveKnobs(t *testing.T) {
 	}
 	for _, engine := range []string{"des", "slotted"} {
 		code, out, errOut := runCapture(t, "run", "uniform-8x8", "-quick", "-engine", engine,
-			"-json", "-target-ci", "0.5", "-min-reps", "3", "-max-reps", "8", "-cv")
+			"-json", "-target-ci", "0.5", "-min-reps", "3", "-max-reps", "8")
 		if code != 0 {
 			t.Fatalf("%s adaptive run exit %d: %s", engine, code, errOut)
 		}
@@ -299,10 +301,10 @@ func TestRunAdaptiveKnobs(t *testing.T) {
 			}
 		}
 	}
-	// Control variates on a non-Poisson scenario must fail loudly.
-	if code, _, errOut := runCapture(t, "run", "bursty-8x8", "-quick", "-cv"); code != 1 ||
+	// Warm starts on a non-Poisson scenario must fail loudly.
+	if code, _, errOut := runCapture(t, "run", "bursty-8x8", "-quick", "-warm-start"); code != 1 ||
 		!strings.Contains(errOut, "Poisson") {
-		t.Errorf("bursty + -cv accepted: %s", errOut)
+		t.Errorf("bursty + -warm-start accepted: %s", errOut)
 	}
 }
 

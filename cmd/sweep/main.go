@@ -34,13 +34,10 @@
 // point runs between -min-reps and -max-reps replicas and stops as soon
 // as its 95% delay half-width is at or below the target, so easy
 // (low-load) points stop early and the replica budget concentrates where
-// the variance is. -cv regresses the exactly known arrival count out of
-// the delay estimate (a control variate: tighter half-widths from the
-// same replicas), and -warm-start chains engine snapshots up the load
+// the variance is. -warm-start chains engine snapshots up the load
 // ladder — each point's replicas resume the previous point's steady
-// state with only -rewarm of re-warm instead of the full horizon/4.
-// All three are opt-in; without them the fixed-replica path is
-// bit-identical to previous releases.
+// state with only -rewarm of re-warm instead of the full horizon/4. Both
+// are opt-in; without them every point runs exactly -replicas replicas.
 //
 // The fault flags (-link-mtbf/-link-mttr/-link-frac, the -node-*
 // counterparts, -liars with -liar-mode/-liar-delay/-liar-prob, and
@@ -85,6 +82,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stepsim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
@@ -120,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		targetCI = fs.Float64("target-ci", 0, "adaptive replica stopping: stop each point once its 95% delay half-width is <= this (0 = fixed -replicas)")
 		minReps  = fs.Int("min-reps", 4, "adaptive mode: minimum replicas per point")
 		maxReps  = fs.Int("max-reps", 64, "adaptive mode: replica cap per point (points that hit it report their achieved half-width)")
-		cv       = fs.Bool("cv", false, "control variates: regress the exactly known arrival count out of the delay estimate (tighter CI at the same replicas)")
 		warm     = fs.Bool("warm-start", false, "chain engine snapshots up the load ladder: each point resumes the previous point's steady state with -rewarm of warmup instead of the full horizon/4")
 		rewarm   = fs.Float64("rewarm", -1, "warm-started points' warmup (slots for -engine=slotted); -1 = horizon/16")
 
@@ -149,9 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *rewarm < 0 {
 		*rewarm = *horizon / 16
 	}
-	// Any variance-reduction knob routes the sweep through the adaptive
-	// pool; with none set the original fixed-replica path runs untouched.
-	adaptive := *targetCI > 0 || *cv || *warm
 	// Resolve -shards: auto (0) lets the sweep pool spend spare cores
 	// inside runs; an explicit N pins every run to N tiles. Bit-identical
 	// results at every value make this a pure wall-clock knob.
@@ -299,9 +293,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// trailing one records wall-clock per point (cumulative elapsed when
 	// that row streamed out, i.e. when the point and all earlier ones had
 	// finished) so perf regressions are visible in the CSV itself.
-	fmt.Fprintf(stdout, "# sweep: engine=%s topology=%s shards=%s lookahead=%d workers=%d gomaxprocs=%d replicas=%d horizon=%g seed=%d target_ci=%g min_reps=%d max_reps=%d cv=%v warm_start=%v rewarm=%g version=%s\n",
+	fmt.Fprintf(stdout, "# sweep: engine=%s topology=%s shards=%s lookahead=%d workers=%d gomaxprocs=%d replicas=%d horizon=%g seed=%d target_ci=%g min_reps=%d max_reps=%d warm_start=%v rewarm=%g version=%s\n",
 		*engine, *topo, *shards, *lookahd, *workers, runtime.GOMAXPROCS(0), *replicas, *horizon, *seed,
-		*targetCI, *minReps, *maxReps, *cv, *warm, *rewarm, buildinfo.Version())
+		*targetCI, *minReps, *maxReps, *warm, *rewarm, buildinfo.Version())
 	if faultsOn {
 		fmt.Fprintf(stdout, "# faults: link_mtbf=%g link_mttr=%g link_frac=%g node_mtbf=%g node_mttr=%g node_frac=%g liars=%d liar_mode=%s liar_delay=%d liar_prob=%g fault_seed=%d\n",
 			*linkMTBF, *linkMTTR, *linkFrac, *nodeMTBF, *nodeMTTR, *nodeFrac, *liars, *liarMode, *liarDelay, *liarProb, *faultSeed)
@@ -313,6 +307,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hdr += ",dropped,detour_hops,link_down_frac"
 	}
 	fmt.Fprintln(stdout, hdr)
+	// One replication policy for both engines; without -target-ci it is
+	// the fixed -replicas count (the slotted engine truncates -rewarm to
+	// whole slots).
+	opts := sweep.Opts{
+		Replicas: *replicas, Workers: *workers,
+		TargetCI: *targetCI, MinReps: *minReps, MaxReps: *maxReps,
+		WarmStart: *warm, Rewarm: *rewarm,
+	}
 	failed := 0
 	start := time.Now()
 	var wall []string
@@ -343,15 +345,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				c.lower, c.estimate, upperStr(c.upper),
 				r.ReplicasUsed, r.DelayCI, faultCols)
 		}
-		if adaptive {
-			sim.StreamSweepAdaptive(context.Background(), cfgs, sim.SweepOpts{
-				Replicas: *replicas, Workers: *workers,
-				TargetCI: *targetCI, MinReps: *minReps, MaxReps: *maxReps,
-				ControlVariates: *cv, WarmStart: *warm, Rewarm: *rewarm,
-			}, emit)
-		} else {
-			sim.StreamSweep(context.Background(), cfgs, *replicas, *workers, emit)
-		}
+		sim.StreamSweepAdaptive(context.Background(), cfgs, opts, emit)
 	case "slotted":
 		cfgs := make([]stepsim.Config, len(cells))
 		for i, c := range cells {
@@ -387,15 +381,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				r.MeanActiveEdges, r.ArrivalSlotFraction,
 				r.ReplicasUsed, r.DelayCI, faultCols)
 		}
-		if adaptive {
-			stepsim.StreamSweepAdaptive(context.Background(), cfgs, stepsim.SweepOpts{
-				Replicas: *replicas, Workers: *workers,
-				TargetCI: *targetCI, MinReps: *minReps, MaxReps: *maxReps,
-				ControlVariates: *cv, WarmStart: *warm, RewarmSlots: int(*rewarm),
-			}, emit)
-		} else {
-			stepsim.StreamSweep(context.Background(), cfgs, *replicas, *workers, emit)
-		}
+		stepsim.StreamSweepAdaptive(context.Background(), cfgs, opts, emit)
 	}
 	fmt.Fprintf(stdout, "# wall: %s | total %.3fs\n", strings.Join(wall, " "), time.Since(start).Seconds())
 	if failed > 0 {

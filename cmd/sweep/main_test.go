@@ -183,11 +183,13 @@ func TestSlottedSweepCSV(t *testing.T) {
 }
 
 // TestSlottedDenseSweepCSV pins the retired knobs: the slotted engine has
-// a single execution body and a single control variate, so -dense and
-// -md1 are unknown flags (exit 2, naming the flag) on either engine.
+// a single execution body and sweeps have no control variates, so -dense,
+// -md1 and -cv are unknown flags (exit 2, naming the flag) on either
+// engine.
 func TestSlottedDenseSweepCSV(t *testing.T) {
 	for _, args := range [][]string{
 		{"-dense"}, {"-engine", "slotted", "-dense"}, {"-md1"}, {"-engine", "slotted", "-md1"},
+		{"-cv"}, {"-engine", "slotted", "-cv"},
 	} {
 		code, _, errOut := runCapture(append([]string{"-rhos", "0.5"}, args...)...)
 		if code != 2 || !strings.Contains(errOut, args[len(args)-1]) {
@@ -250,15 +252,17 @@ func TestAdaptiveSlottedSweepCSV(t *testing.T) {
 			t.Errorf("ci_halfwidth %q != T_ci %q", fields[13], fields[4])
 		}
 	}
-	for _, want := range []string{"target_ci=0.5", "min_reps=3", "max_reps=12", "cv=false", "warm_start=false"} {
+	for _, want := range []string{"target_ci=0.5", "min_reps=3", "max_reps=12", "warm_start=false"} {
 		if !strings.Contains(comments[0], want) {
 			t.Errorf("header comment %q missing %q", comments[0], want)
 		}
 	}
 }
 
-// TestWarmStartCVSweepCSV smoke-tests the combined -warm-start -cv path on
-// both engines over a short two-point ladder.
+// TestWarmStartCVSweepCSV smoke-tests the -warm-start path on both engines
+// over a short two-point ladder. (It once combined -warm-start with -cv;
+// control variates are gone and -cv is now an unknown flag, pinned by
+// TestSlottedDenseSweepCSV.)
 func TestWarmStartCVSweepCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates; skipped with -short")
@@ -267,9 +271,9 @@ func TestWarmStartCVSweepCSV(t *testing.T) {
 		code, out, errOut := runCapture(
 			"-topology", "array", "-n", "5", "-rhos", "0.4,0.6",
 			"-engine", engine, "-horizon", "800", "-replicas", "4",
-			"-cv", "-warm-start", "-rewarm", "100")
+			"-warm-start", "-rewarm", "100")
 		if code != 0 {
-			t.Fatalf("%s warm+cv sweep exit %d: %s", engine, code, errOut)
+			t.Fatalf("%s warm sweep exit %d: %s", engine, code, errOut)
 		}
 		lines, _ := splitCSV(out)
 		if len(lines) != 3 {
@@ -278,7 +282,7 @@ func TestWarmStartCVSweepCSV(t *testing.T) {
 		for _, row := range lines[1:] {
 			fields := strings.Split(row, ",")
 			if len(fields) != 14 || fields[12] != "4" {
-				t.Errorf("%s: bad warm+cv row %q", engine, row)
+				t.Errorf("%s: bad warm row %q", engine, row)
 			}
 		}
 	}

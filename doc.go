@@ -55,8 +55,9 @@
 //     next event is a root read, rescheduling is one branch-free
 //     leaf-to-root replay, and the merged arrival clock lives in two
 //     scalars outside the tree.
-//   - Deterministic worker pool (internal/sim.StreamSweep): sweeps
-//     parallelize across (point, replica) tasks with per-task seeds
+//   - Deterministic worker pool (internal/sweep, behind
+//     sim.StreamSweep): sweeps parallelize across (point, replica) tasks
+//     with per-task seeds
 //     derived only from the point seed and replica index, streaming cells
 //     back in input order, so results never depend on worker count.
 //   - Sweep-scoped engine reuse (internal/sim.Runner): each pool worker
@@ -90,9 +91,14 @@
 //     occupancy (Result.MeanActiveEdges, ArrivalSlotFraction), and
 //     reaches 256×256 and beyond in seconds — the regime where the
 //     paper's asymptotic bounds actually bite. stepsim.Engine is reusable
-//     across runs (the slotted mirror of sim.Runner), and
-//     stepsim.StreamSweep mirrors the deterministic sweep pool with one
-//     engine per worker.
+//     across runs (the slotted mirror of sim.Runner).
+//
+// Both engines sweep through one driver, internal/sweep: the same
+// replication policy, worker pool, replica seeding, estimator, stopping
+// rule and warm-start chain. Each engine contributes only a small adapter
+// (run one replica, read its delay, aggregate a replica set), so
+// sim.StreamSweep and stepsim.StreamSweep differ in nothing but the engine
+// they run, one reused Runner or Engine per pool worker.
 //
 // # Sparse slotted execution
 //
@@ -137,7 +143,7 @@
 //
 // The load-bearing property is that the shard count cannot change
 // results, which is what makes it a safe runtime knob (the sweep pools
-// auto-shard when points×replicas < GOMAXPROCS — sim.SpareFactor — so
+// auto-shard when points×replicas < GOMAXPROCS — sweep.SpareFactor — so
 // cores never idle at the tail of a sweep). Three invariants deliver
 // bit-identical Results at every shard count, each pinned by tests:
 // per-node keyed RNG streams (xrand.ReseedSplit(Seed, nodeID), so a
@@ -190,28 +196,28 @@
 //
 // # Variance reduction and adaptive precision
 //
-// The sweep layer treats replica count as a spend (sim.SweepOpts,
-// stepsim.SweepOpts; all opt-in, the fixed-replica path is bit-identical
-// to before). Replica r of every sweep point runs the stream
+// The sweep driver (internal/sweep) treats replica count as a spend
+// (sweep.Opts, aliased as sim.SweepOpts and stepsim.SweepOpts; all
+// opt-in — a fixed replica count is the one-rung ladder of the same
+// pool). Replica r of every sweep point runs the stream
 // Split(seed, r) — common random numbers — so ladder contrasts can be
 // estimated as paired differences (stats.PairedDiff, measured ~1.6×
 // tighter). SweepOpts.TargetCI switches a sweep to sequential stopping:
 // each point runs a deterministic batch ladder (MinReps, ×1.5 growth,
 // capped at MaxReps) and stops at the first batch boundary where the 95%
-// half-width of its estimator of record meets the target; stopping is
+// half-width of the plain mean delay meets the target; stopping is
 // evaluated only on complete replica prefixes, so replicas used is a
 // pure function of the results, independent of worker scheduling
-// (sim.StreamCellsAdaptive). ControlVariates regresses the per-replica
-// arrival count — whose expectation is closed-form under Poisson
-// arrivals — out of the delay estimate with a jackknifed coefficient
-// (stats.ControlVariate). WarmStart chains engine snapshots along the
+// (sweep.StreamCellsAdaptive). WarmStart chains engine snapshots along the
 // load ladder: both engines capture their complete state into versioned,
 // CRC-checked byte strings (EVTSNAP1 / SLOTSNP1) whose resumption is
 // bit-exact, and each replica resumes the previous point's steady state
 // with a short re-warm instead of the full warmup. Measured on the
 // full-length 64×64 hotspot ladder at equal precision: 3.4× end-to-end
 // vs the uniform-budget baseline from stopping alone (BENCH.md,
-// "Variance reduction"; examples/adaptivesweep reproduces it).
+// "Variance reduction"; examples/adaptivesweep reproduces it). Count
+// control variates were measured there too, widened the interval at most
+// loads, and have been removed.
 //
 // # Serving sweeps
 //
@@ -219,8 +225,8 @@
 // (internal/serve): POST a declarative scenario spec to /v1/sweeps and
 // it is validated (the same analytic stability checks as Bind), queued
 // on a bounded priority queue with explicit backpressure (429 +
-// Retry-After when full), and executed on the engines' deterministic
-// worker pools; GET /v1/sweeps/{id}/events streams every ladder point
+// Retry-After when full), and executed through the shared sweep driver
+// (internal/sweep; one executor body serves both engines); GET /v1/sweeps/{id}/events streams every ladder point
 // exactly once over SSE (replay-then-live, so late subscribers see the
 // full history); DELETE stops the engine pools mid-run through the
 // context plumbing both engines thread (Config.Ctx) — a canceled run

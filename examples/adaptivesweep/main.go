@@ -5,14 +5,13 @@
 //   - fixed: the standard practice this PR's adaptive layer replaces — a
 //     uniform replica budget sized so the WORST point of the ladder meets
 //     the precision target, paid at every point;
-//   - adaptive: sequential stopping (sim/stepsim SweepOpts.TargetCI) —
+//   - adaptive: sequential stopping (sweep.Opts.TargetCI) —
 //     each point stops at the first batch boundary where its 95%
 //     half-width is under the target, so the easy low-ρ points stop at
 //     MinReps and only the near-saturation points spend the budget;
-//   - adaptive+cv+warm: stopping plus the control-variate estimator of
-//     record and snapshot warm-starts along the ladder (each replica
-//     resumes the previous point's captured steady state with Slots/8 of
-//     re-warm instead of the full warmup).
+//   - adaptive+warm: stopping plus snapshot warm-starts along the ladder
+//     (each replica resumes the previous point's captured steady state
+//     with Slots/8 of re-warm instead of the full warmup).
 //
 // "Equal precision" is literal: the target is the half-width profile the
 // fixed budget actually buys at its loosest point, measured from the
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/stepsim"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -67,14 +67,19 @@ func main() {
 
 	type mode struct {
 		name string
-		opts stepsim.SweepOpts
+		opts sweep.Opts
 	}
-	fixed := mode{"fixed", stepsim.SweepOpts{Replicas: *budget, Workers: *workers}}
+	fixed := mode{"fixed", sweep.Opts{Replicas: *budget, Workers: *workers}}
+	run := func(opts sweep.Opts) ([]stepsim.ReplicaSet, error) {
+		return sweep.Collect(len(cfgs), func(emit func(int, stepsim.ReplicaSet, error)) {
+			stepsim.StreamSweepAdaptive(context.Background(), cfgs, opts, emit)
+		})
+	}
 
 	// The fixed baseline doubles as the calibration run: its loosest
 	// point defines the precision target every mode must meet.
 	start := time.Now()
-	base, err := stepsim.RunSweepAdaptive(context.Background(), cfgs, fixed.opts)
+	base, err := run(fixed.opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,21 +92,20 @@ func main() {
 	}
 	fmt.Printf("precision target (loosest fixed half-width): %.4f slots\n\n", target)
 
-	adaptive := stepsim.SweepOpts{
+	adaptive := sweep.Opts{
 		TargetCI: target, MinReps: *minReps, MaxReps: *budget, Workers: *workers,
 	}
-	vr := adaptive
-	vr.ControlVariates = true
-	vr.WarmStart = true
-	vr.RewarmSlots = cfgs[0].Slots / 8
+	warm := adaptive
+	warm.WarmStart = true
+	warm.Rewarm = float64(cfgs[0].Slots / 8)
 
-	modes := []mode{fixed, {"adaptive", adaptive}, {"adaptive+cv+warm", vr}}
+	modes := []mode{fixed, {"adaptive", adaptive}, {"adaptive+warm", warm}}
 	results := make([][]stepsim.ReplicaSet, len(modes))
 	times := make([]time.Duration, len(modes))
 	results[0], times[0] = base, fixedTime
 	for i := 1; i < len(modes); i++ {
 		start = time.Now()
-		results[i], err = stepsim.RunSweepAdaptive(context.Background(), cfgs, modes[i].opts)
+		results[i], err = run(modes[i].opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -65,7 +66,9 @@ func main() {
 	}
 	fmt.Printf("\n%s: lambda* = %.4f per node (every packet rides its row ring %d hops)\n",
 		custom.Name, cb.Analysis.LambdaStar, int(cb.Analysis.MeanHops))
-	sets, err := sim.RunSweep(context.Background(), cb.Configs, custom.Replicas, 0)
+	sets, err := sweep.Collect(len(cb.Configs), func(emit func(int, sim.ReplicaSet, error)) {
+		sim.StreamSweep(context.Background(), cb.Configs, custom.Replicas, 0, emit)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -40,7 +41,9 @@ func HotSpotLadder(o Options) ([]Table, error) {
 		Title:  "Hot-spot bound ladder: simulation vs pattern-aware analytics (hotspot-8x8)",
 		Header: []string{"load", "lambda", "lambda*", "rho_max", "T(sim)", "±95%", "T(md1)"},
 	}
-	sets, err := sim.RunSweep(context.Background(), b.Configs, o.replicas(b.Scenario.Replicas), o.Workers)
+	sets, err := sweep.Collect(len(b.Configs), func(emit func(int, sim.ReplicaSet, error)) {
+		sim.StreamSweep(context.Background(), b.Configs, o.replicas(b.Scenario.Replicas), o.Workers, emit)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +98,9 @@ func BurstyDelay(o Options) ([]Table, error) {
 	}
 	// Replica count comes from the bound scenario: Bind has applied the
 	// registry defaults (the raw spec leaves Replicas at 0).
-	sets, err := sim.RunSweep(context.Background(), cfgs, o.replicas(bounds[0].Scenario.Replicas), o.Workers)
+	sets, err := sweep.Collect(len(cfgs), func(emit func(int, sim.ReplicaSet, error)) {
+		sim.StreamSweep(context.Background(), cfgs, o.replicas(bounds[0].Scenario.Replicas), o.Workers, emit)
+	})
 	if err != nil {
 		return nil, err
 	}

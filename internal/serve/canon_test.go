@@ -118,11 +118,8 @@ func TestKeyChangesOnSemanticKnobs(t *testing.T) {
 		"topology": func(s *workload.Scenario) { s.Topology.N = 16 },
 		"pattern":  func(s *workload.Scenario) { s.Pattern = workload.PatternSpec{Kind: "hotspot"} },
 		"router":   func(s *workload.Scenario) { s.Router = "greedy-yx" },
-		// Adaptive stopping changes the estimator of record.
-		"targetCI": func(s *workload.Scenario) { s.TargetCI = 0.05 },
-		"controlVariates": func(s *workload.Scenario) {
-			s.ControlVariates = true
-		},
+		// Adaptive stopping changes the replica spend.
+		"targetCI":    func(s *workload.Scenario) { s.TargetCI = 0.05 },
 		"warmStart":   func(s *workload.Scenario) { s.WarmStart = true },
 		"rewarmSlots": func(s *workload.Scenario) { s.WarmStart = true; s.RewarmSlots = 100 },
 		"name":        func(s *workload.Scenario) { s.Name = "other" },

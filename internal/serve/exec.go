@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stepsim"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -114,9 +115,9 @@ func executeSweep(ctx context.Context, rec JobRecord, version string, simWorkers
 			ok := true
 			switch rec.Engine {
 			case EngineSlotted:
-				prevSlot, ok = decodeSlotSnaps(st.snaps)
+				prevSlot, ok = decodeSnaps(st.snaps, stepsim.UnmarshalSnapshot)
 			default:
-				prevEvt, ok = decodeEvtSnaps(st.snaps)
+				prevEvt, ok = decodeSnaps(st.snaps, sim.UnmarshalSnapshot)
 			}
 			if ok {
 				start = st.ckptPoint + 1
@@ -127,58 +128,25 @@ func executeSweep(ctx context.Context, rec JobRecord, version string, simWorkers
 	}
 
 	// runPoint executes ladder point i on the job's engine, threading the
-	// warm-start chain through the enclosing prev* variables, and returns
-	// the point document plus the encoded end-of-point snapshots.
+	// warm-start chain, and returns the point document plus the encoded
+	// end-of-point snapshots.
 	var runPoint func(i int) (PointDoc, [][]byte, error)
+	opts := b.SweepOpts(simWorkers)
 	switch rec.Engine {
 	case EngineSlotted:
 		cfgs, cfgErr := b.SlottedConfigs()
 		if cfgErr != nil {
 			return nil, cfgErr
 		}
-		opts := b.SlottedSweepOpts(simWorkers)
-		runPoint = func(i int) (PointDoc, [][]byte, error) {
-			rs, snaps, err := stepsim.RunCellAdaptive(ctx, cfgs[i], opts, prevSlot, warm)
-			if err != nil {
-				return PointDoc{}, nil, err
-			}
-			var blobs [][]byte
-			if warm {
-				prevSlot = snaps
-				blobs, err = encodeSnaps(len(snaps), func(j int) ([]byte, error) {
-					if snaps[j] == nil {
-						return nil, errors.New("nil snapshot")
-					}
-					return snaps[j].MarshalBinary()
-				})
-				if err != nil {
-					return PointDoc{}, nil, fmt.Errorf("serve: encoding checkpoint: %w", err)
-				}
-			}
-			return pointDoc(i, b, rs.MeanDelay, rs.DelayCI, rs.MeanN, rs.ReplicasUsed), blobs, nil
-		}
+		runPoint = chainPoints(ctx, b, cfgs, opts, prevSlot, warm, stepsim.RunCellAdaptive,
+			func(rs stepsim.ReplicaSet) (float64, float64, float64, int) {
+				return rs.MeanDelay, rs.DelayCI, rs.MeanN, rs.ReplicasUsed
+			})
 	default:
-		opts := b.SweepOpts(simWorkers)
-		runPoint = func(i int) (PointDoc, [][]byte, error) {
-			rs, snaps, err := sim.RunCellAdaptive(ctx, b.Configs[i], opts, prevEvt, warm)
-			if err != nil {
-				return PointDoc{}, nil, err
-			}
-			var blobs [][]byte
-			if warm {
-				prevEvt = snaps
-				blobs, err = encodeSnaps(len(snaps), func(j int) ([]byte, error) {
-					if snaps[j] == nil {
-						return nil, errors.New("nil snapshot")
-					}
-					return snaps[j].MarshalBinary()
-				})
-				if err != nil {
-					return PointDoc{}, nil, fmt.Errorf("serve: encoding checkpoint: %w", err)
-				}
-			}
-			return pointDoc(i, b, rs.MeanDelay, rs.DelayCI, rs.MeanN, rs.ReplicasUsed), blobs, nil
-		}
+		runPoint = chainPoints(ctx, b, b.Configs, opts, prevEvt, warm, sim.RunCellAdaptive,
+			func(rs sim.ReplicaSet) (float64, float64, float64, int) {
+				return rs.MeanDelay, rs.DelayCI, rs.MeanN, rs.ReplicasUsed
+			})
 	}
 
 	for i := start; i < n; i++ {
@@ -214,46 +182,58 @@ func executeSweep(ctx context.Context, rec JobRecord, version string, simWorkers
 	})
 }
 
-func pointDoc(i int, b *workload.Bound, meanDelay, delayCI, meanN float64, reps int) PointDoc {
-	return PointDoc{
-		Index:     i,
-		Load:      b.Points[i].Load,
-		NodeRate:  b.Points[i].NodeRate,
-		MeanDelay: meanDelay,
-		DelayCI:   delayCI,
-		MeanN:     meanN,
-		Replicas:  reps,
-	}
+// snapshot is an engine's warm-start chain state on the wire.
+type snapshot interface {
+	comparable
+	MarshalBinary() ([]byte, error)
 }
 
-func encodeSnaps(n int, marshal func(j int) ([]byte, error)) ([][]byte, error) {
-	blobs := make([][]byte, n)
-	for j := range n {
-		b, err := marshal(j)
+// chainPoints is the executor's runPoint for one engine: cell is the
+// engine's RunCellAdaptive, summary reads the fields a PointDoc records,
+// and the warm-start chain threads from prev through successive points.
+func chainPoints[C, S any, P snapshot](ctx context.Context, b *workload.Bound, cfgs []C, opts sweep.Opts, prev []P, warm bool,
+	cell func(context.Context, C, sweep.Opts, []P, bool) (S, []P, error),
+	summary func(S) (meanDelay, delayCI, meanN float64, reps int)) func(i int) (PointDoc, [][]byte, error) {
+	return func(i int) (PointDoc, [][]byte, error) {
+		rs, snaps, err := cell(ctx, cfgs[i], opts, prev, warm)
 		if err != nil {
-			return nil, err
+			return PointDoc{}, nil, err
 		}
-		blobs[j] = b
+		var blobs [][]byte
+		if warm {
+			prev = snaps
+			blobs = make([][]byte, len(snaps))
+			var zero P
+			for j, sn := range snaps {
+				if sn == zero {
+					err = errors.New("nil snapshot")
+				} else {
+					blobs[j], err = sn.MarshalBinary()
+				}
+				if err != nil {
+					return PointDoc{}, nil, fmt.Errorf("serve: encoding checkpoint: %w", err)
+				}
+			}
+		}
+		meanDelay, delayCI, meanN, reps := summary(rs)
+		return PointDoc{
+			Index:     i,
+			Load:      b.Points[i].Load,
+			NodeRate:  b.Points[i].NodeRate,
+			MeanDelay: meanDelay,
+			DelayCI:   delayCI,
+			MeanN:     meanN,
+			Replicas:  reps,
+		}, blobs, nil
 	}
-	return blobs, nil
 }
 
-func decodeSlotSnaps(blobs [][]byte) ([]*stepsim.Snapshot, bool) {
-	snaps := make([]*stepsim.Snapshot, len(blobs))
+// decodeSnaps decodes a checkpoint's snapshot blobs with the engine's
+// decoder; ok is false if any blob is damaged.
+func decodeSnaps[P any](blobs [][]byte, decode func([]byte) (P, error)) (snaps []P, ok bool) {
+	snaps = make([]P, len(blobs))
 	for j, b := range blobs {
-		sn, err := stepsim.UnmarshalSnapshot(b)
-		if err != nil {
-			return nil, false
-		}
-		snaps[j] = sn
-	}
-	return snaps, true
-}
-
-func decodeEvtSnaps(blobs [][]byte) ([]*sim.Snapshot, bool) {
-	snaps := make([]*sim.Snapshot, len(blobs))
-	for j, b := range blobs {
-		sn, err := sim.UnmarshalSnapshot(b)
+		sn, err := decode(b)
 		if err != nil {
 			return nil, false
 		}

@@ -493,6 +493,7 @@ func (s *Server) runJob(j *Job) {
 		data, _ := json.Marshal(pd)
 		j.append("point", data)
 	}
+	opts := b.SweepOpts(s.cfg.SimWorkers)
 	switch j.Engine {
 	case EngineSlotted:
 		cfgs, cfgErr := b.SlottedConfigs()
@@ -500,12 +501,10 @@ func (s *Server) runJob(j *Job) {
 			firstErr = cfgErr
 			break
 		}
-		opts := b.SlottedSweepOpts(s.cfg.SimWorkers)
 		stepsim.StreamSweepAdaptive(j.ctx, cfgs, opts, func(i int, rs stepsim.ReplicaSet, err error) {
 			emit(i, rs.MeanDelay, rs.DelayCI, rs.MeanN, rs.ReplicasUsed, err)
 		})
 	default:
-		opts := b.SweepOpts(s.cfg.SimWorkers)
 		sim.StreamSweepAdaptive(j.ctx, b.Configs, opts, func(i int, rs sim.ReplicaSet, err error) {
 			emit(i, rs.MeanDelay, rs.DelayCI, rs.MeanN, rs.ReplicasUsed, err)
 		})

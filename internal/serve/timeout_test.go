@@ -12,7 +12,10 @@ import (
 // not canceled — with a timeout reason, bump the timed-out metric, and
 // leave the server healthy for the next job.
 func TestJobTimeout(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobTimeout: 50 * time.Millisecond})
+	// The limit must separate the two jobs under -race too: longSubmit's
+	// 50M slots can never finish within it, and smallSubmit, which takes
+	// milliseconds, always does.
+	_, ts := newTestServer(t, Config{JobTimeout: 2 * time.Second})
 	_, sr, _ := postSweep(t, ts, longSubmit(1))
 	if sr.Cached {
 		t.Fatal("long sweep answered from cache")

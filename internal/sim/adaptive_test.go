@@ -1,106 +1,19 @@
 package sim
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/bounds"
 )
 
-// TestStreamCellsAdaptiveLadder exercises the sequential-stopping pool on
-// synthetic tasks: the replica count a cell uses must be the first rung of
-// the deterministic ladder whose prefix satisfies stop, independent of the
-// worker count, and cells must emit in input order.
-func TestStreamCellsAdaptiveLadder(t *testing.T) {
-	// Ladder from minReps 2: 2, 3, 4, 6, 9, 13, 19, 28, 42, 63, 64.
-	targets := []int{1, 3, 5, 9, 20, 100} // per-cell "converged at" prefix length
-	wantUsed := []int{2, 3, 6, 9, 28, 64} // first rung ≥ target (capped at 64)
-	for _, workers := range []int{1, 3, 16} {
-		used := make([]int, len(targets))
-		order := make([]int, 0, len(targets))
-		StreamCellsAdaptive(context.Background(), len(targets), 2, 64, workers,
-			func() func(cell, rep int) (int, error) {
-				return func(cell, rep int) (int, error) { return cell*1000 + rep, nil }
-			},
-			func(cell int, prefix []int) bool { return len(prefix) >= targets[cell] },
-			func(cell int, rs []int, err error) {
-				if err != nil {
-					t.Fatalf("cell %d: unexpected error %v", cell, err)
-				}
-				for r, v := range rs {
-					if v != cell*1000+r {
-						t.Fatalf("cell %d replica %d: got %d", cell, r, v)
-					}
-				}
-				used[cell] = len(rs)
-				order = append(order, cell)
-			})
-		for c := range targets {
-			if used[c] != wantUsed[c] {
-				t.Errorf("workers=%d cell %d: used %d replicas, want %d", workers, c, used[c], wantUsed[c])
-			}
-			if order[c] != c {
-				t.Errorf("workers=%d: emission order %v not input order", workers, order)
-			}
-		}
-	}
-}
-
-// TestStreamCellsAdaptiveError pins error semantics: an errored cell stops
-// launching, reports its first error, and does not disturb other cells.
-func TestStreamCellsAdaptiveError(t *testing.T) {
-	errs := make([]error, 3)
-	used := make([]int, 3)
-	StreamCellsAdaptive(context.Background(), 3, 2, 16, 4,
-		func() func(cell, rep int) (int, error) {
-			return func(cell, rep int) (int, error) {
-				if cell == 1 && rep == 1 {
-					return 0, fmt.Errorf("boom")
-				}
-				return rep, nil
-			}
-		},
-		func(cell int, prefix []int) bool { return len(prefix) >= 4 },
-		func(cell int, rs []int, err error) {
-			errs[cell] = err
-			used[cell] = len(rs)
-		})
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy cells errored: %v %v", errs[0], errs[2])
-	}
-	if errs[1] == nil {
-		t.Fatal("errored cell reported no error")
-	}
-	if used[0] != 4 || used[2] != 4 {
-		t.Fatalf("healthy cells used %d/%d replicas, want 4", used[0], used[2])
-	}
-}
-
-// TestRunSweepAdaptiveMatchesFixed pins that the zero-valued adaptive
-// options reproduce the fixed sweep bit-for-bit: the default path is
-// untouched by the variance-reduction layer.
+// TestRunSweepAdaptiveMatchesFixed pins that adaptive options with no
+// target reproduce the fixed 3-replica sweep's goldens bit for bit: fixed
+// mode is the one-rung ladder of the same pool.
 func TestRunSweepAdaptiveMatchesFixed(t *testing.T) {
-	cfgs := []Config{arrayConfig(5, 0.5, 101), arrayConfig(5, 0.7, 101)}
-	want, err := RunSweep(context.Background(), cfgs, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunSweepAdaptive(context.Background(), cfgs, SweepOpts{Replicas: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(got[i].MeanDelay) != math.Float64bits(want[i].MeanDelay) ||
-			math.Float64bits(got[i].DelayCI) != math.Float64bits(want[i].DelayCI) ||
-			math.Float64bits(got[i].MeanN) != math.Float64bits(want[i].MeanN) {
-			t.Errorf("point %d: adaptive fixed-mode result differs from RunSweep", i)
-		}
-		if got[i].ReplicasUsed != 3 || want[i].ReplicasUsed != 3 {
-			t.Errorf("point %d: ReplicasUsed %d/%d, want 3", i, got[i].ReplicasUsed, want[i].ReplicasUsed)
-		}
-	}
+	fixed := sweepGoldenModes()[0]
+	fixed.opts = &SweepOpts{Replicas: 3}
+	checkSweepGolden(t, fixed, 4, runSweepGolden(t, fixed, 4))
 }
 
 // TestRunSweepAdaptiveStopsAtTarget checks sequential stopping: a loose
@@ -108,14 +21,14 @@ func TestRunSweepAdaptiveMatchesFixed(t *testing.T) {
 // meets the target or reports the capped shortfall honestly.
 func TestRunSweepAdaptiveStopsAtTarget(t *testing.T) {
 	cfg := arrayConfig(5, 0.6, 7)
-	loose, err := RunSweepAdaptive(context.Background(), []Config{cfg}, SweepOpts{TargetCI: 100, MinReps: 3, MaxReps: 24, Workers: 4})
+	loose, err := runSweep([]Config{cfg}, SweepOpts{TargetCI: 100, MinReps: 3, MaxReps: 24, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loose[0].ReplicasUsed != 3 {
 		t.Errorf("loose target used %d replicas, want MinReps=3", loose[0].ReplicasUsed)
 	}
-	tight, err := RunSweepAdaptive(context.Background(), []Config{cfg}, SweepOpts{TargetCI: 0.02, MinReps: 3, MaxReps: 24, Workers: 4})
+	tight, err := runSweep([]Config{cfg}, SweepOpts{TargetCI: 0.02, MinReps: 3, MaxReps: 24, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,35 +37,6 @@ func TestRunSweepAdaptiveStopsAtTarget(t *testing.T) {
 	}
 	if tight[0].ReplicasUsed < 24 && tight[0].DelayCI > 0.02 {
 		t.Errorf("stopped at %d replicas but half-width %v exceeds target", tight[0].ReplicasUsed, tight[0].DelayCI)
-	}
-}
-
-// TestControlVariateSweep checks the CV estimator of record: it must stay
-// consistent with the plain estimate (well within its interval) and reject
-// arrival models without a closed-form count.
-func TestControlVariateSweep(t *testing.T) {
-	cfg := arrayConfig(6, 0.8, 13)
-	plain, err := RunSweepAdaptive(context.Background(), []Config{cfg}, SweepOpts{Replicas: 8, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cv, err := RunSweepAdaptive(context.Background(), []Config{cfg}, SweepOpts{Replicas: 8, Workers: 4, ControlVariates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(cv[0].MeanDelay - plain[0].MeanDelay); diff > 3*plain[0].DelayCI {
-		t.Errorf("CV estimate %v vs plain %v: difference %v outside 3 half-widths (%v)",
-			cv[0].MeanDelay, plain[0].MeanDelay, diff, plain[0].DelayCI)
-	}
-	if cv[0].DelayCI <= 0 || math.IsInf(cv[0].DelayCI, 0) {
-		t.Errorf("CV half-width %v not finite positive", cv[0].DelayCI)
-	}
-	t.Logf("plain hw %.4f, CV hw %.4f (beta-adjusted)", plain[0].DelayCI, cv[0].DelayCI)
-
-	slotted := cfg
-	slotted.SlotTau = 1
-	if _, err := RunSweepAdaptive(context.Background(), []Config{slotted}, SweepOpts{Replicas: 4, ControlVariates: true}); err == nil {
-		t.Error("control variates accepted a slotted arrival model")
 	}
 }
 
@@ -168,11 +52,11 @@ func TestWarmStartSweepAgreement(t *testing.T) {
 		return c
 	}
 	cfgs := []Config{mk(0.5), mk(0.6), mk(0.7)}
-	cold, err := RunSweepAdaptive(context.Background(), cfgs, SweepOpts{Replicas: 6, Workers: 4})
+	cold, err := runSweep(cfgs, SweepOpts{Replicas: 6, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunSweepAdaptive(context.Background(), cfgs, SweepOpts{Replicas: 6, Workers: 4, WarmStart: true, Rewarm: 200})
+	warm, err := runSweep(cfgs, SweepOpts{Replicas: 6, Workers: 4, WarmStart: true, Rewarm: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

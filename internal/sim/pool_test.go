@@ -4,7 +4,16 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"repro/internal/sweep"
 )
+
+// runSweep collects a sweep's cells in input order.
+func runSweep(cfgs []Config, opts SweepOpts) ([]ReplicaSet, error) {
+	return sweep.Collect(len(cfgs), func(emit func(int, ReplicaSet, error)) {
+		StreamSweepAdaptive(context.Background(), cfgs, opts, emit)
+	})
+}
 
 func sweepConfigs() []Config {
 	cfgs := make([]Config, 0, 3)
@@ -21,7 +30,7 @@ func sweepConfigs() []Config {
 // per-task seeds depend only on (cell seed, replica index).
 func TestRunSweepMatchesRunReplicas(t *testing.T) {
 	cfgs := sweepConfigs()
-	sets, err := RunSweep(context.Background(), cfgs, 3, 4)
+	sets, err := runSweep(cfgs, SweepOpts{Replicas: 3, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +52,11 @@ func TestRunSweepMatchesRunReplicas(t *testing.T) {
 // results.
 func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 	cfgs := sweepConfigs()
-	one, err := RunSweep(context.Background(), cfgs, 2, 1)
+	one, err := runSweep(cfgs, SweepOpts{Replicas: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunSweep(context.Background(), cfgs, 2, 8)
+	many, err := runSweep(cfgs, SweepOpts{Replicas: 2, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +99,7 @@ func TestStreamSweepEmitsInInputOrder(t *testing.T) {
 func TestRunSweepReportsPerCellErrors(t *testing.T) {
 	cfgs := sweepConfigs()
 	cfgs[1].Horizon = 0 // invalid
-	sets, err := RunSweep(context.Background(), cfgs, 2, 4)
+	sets, err := runSweep(cfgs, SweepOpts{Replicas: 2, Workers: 4})
 	if err == nil {
 		t.Fatal("expected an error from the invalid cell")
 	}
@@ -107,24 +116,4 @@ func TestStreamSweepEmpty(t *testing.T) {
 	StreamSweep(context.Background(), nil, 3, 2, func(int, ReplicaSet, error) {
 		t.Fatal("emit called for empty sweep")
 	})
-}
-
-func TestSpareFactor(t *testing.T) {
-	cases := []struct {
-		cells, replicas, workers, want int
-	}{
-		{4, 4, 8, 1}, // more tasks than workers: nothing spare
-		{4, 2, 8, 1}, // exactly saturated
-		{2, 1, 8, 4}, // 2 tasks on 8 workers: 4-way intra-run
-		{1, 1, 6, 6}, // single run gets the whole machine
-		{3, 1, 8, 2}, // rounds down: 8/3 = 2, never oversubscribes
-		{1, 0, 5, 5}, // replicas clamp to 1
-		{0, 1, 4, 1}, // empty sweep: factor is inert
-		{1, 1, 1, 1}, // single worker: serial
-	}
-	for _, tc := range cases {
-		if got := SpareFactor(tc.cells, tc.replicas, tc.workers); got != tc.want {
-			t.Errorf("SpareFactor(%d,%d,%d) = %d, want %d", tc.cells, tc.replicas, tc.workers, got, tc.want)
-		}
-	}
 }

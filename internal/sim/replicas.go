@@ -2,11 +2,9 @@ package sim
 
 import (
 	"context"
-	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // ReplicaSet aggregates independent replications of one configuration.
@@ -37,23 +35,71 @@ type ReplicaSet struct {
 	LinkDownFrac float64
 	NodeDownFrac float64
 	// ReplicasUsed is how many replicas produced this cell. Fixed sweeps
-	// always use the requested count; adaptive sweeps (RunSweepAdaptive)
+	// always use the requested count; adaptive sweeps (SweepOpts.TargetCI)
 	// stop early once the target half-width is met, so the CSV layer
 	// reports this alongside the half-width of record.
 	ReplicasUsed int
 }
 
+// SweepOpts configures a sweep's replication policy; see sweep.Opts.
+type SweepOpts = sweep.Opts
+
+// adapter plugs the event-driven engine into internal/sweep. Each runner
+// owns one Runner, so engine state (tree, stations, arena, tables) is
+// reused across its replicas and per-run setup amortizes to ~0
+// allocations over a sweep; results are bit-identical to fresh Runs.
+var adapter = sweep.Adapter[Config, Result, *Snapshot, ReplicaSet]{
+	Seed: func(cfg Config) uint64 { return cfg.Seed },
+	NewRunner: func() func(Config, sweep.Replica[*Snapshot]) (Result, error) {
+		var runner Runner
+		return func(cfg Config, rep sweep.Replica[*Snapshot]) (Result, error) {
+			cfg.Seed = rep.Seed
+			if cfg.Ctx == nil {
+				cfg.Ctx = rep.Ctx
+			}
+			cfg.Capture = rep.Capture
+			if rep.Resume != nil {
+				cfg.Resume, cfg.Warmup = rep.Resume, rep.Rewarm
+			}
+			return runner.Run(cfg)
+		}
+	},
+	Delay: func(r Result) float64 { return r.MeanDelay },
+	Detach: func(r *Result) *Snapshot {
+		sn := r.Snapshot
+		r.Snapshot = nil
+		return sn
+	},
+	Aggregate: aggregate,
+}
+
+// StreamSweepAdaptive runs every configuration under opts on the shared
+// sweep driver (sweep.Stream), emitting cells in input order as they
+// converge.
+func StreamSweepAdaptive(ctx context.Context, cfgs []Config, opts SweepOpts, emit func(i int, rs ReplicaSet, err error)) {
+	sweep.Stream(ctx, adapter, cfgs, opts, emit)
+}
+
+// StreamSweep is StreamSweepAdaptive with a fixed `replicas` replicas per
+// configuration on up to `workers` goroutines (0 means GOMAXPROCS).
+func StreamSweep(ctx context.Context, cfgs []Config, replicas, workers int, emit func(i int, rs ReplicaSet, err error)) {
+	StreamSweepAdaptive(ctx, cfgs, SweepOpts{Replicas: replicas, Workers: workers}, emit)
+}
+
+// RunCellAdaptive runs one sweep point under opts, optionally resuming
+// replica r from prevSnaps[r] and capturing end-of-run snapshots; see
+// sweep.Cell.
+func RunCellAdaptive(ctx context.Context, cfg Config, opts SweepOpts, prevSnaps []*Snapshot, capture bool) (ReplicaSet, []*Snapshot, error) {
+	return sweep.Cell(ctx, adapter, cfg, opts, prevSnaps, capture)
+}
+
 // RunReplicas executes `replicas` independent runs of cfg on up to
-// `workers` goroutines (0 means GOMAXPROCS) and aggregates them. It is the
-// single-cell form of RunSweep: replica i uses the random stream
-// Split(cfg.Seed, i), so results are independent of scheduling and of the
-// worker count.
+// `workers` goroutines (0 means GOMAXPROCS) and aggregates them; replica i
+// uses the random stream Split(cfg.Seed, i), so results are independent of
+// scheduling and of the worker count.
 func RunReplicas(ctx context.Context, cfg Config, replicas, workers int) (ReplicaSet, error) {
-	sets, err := RunSweep(ctx, []Config{cfg}, replicas, workers)
-	if err != nil {
-		return ReplicaSet{}, err
-	}
-	return sets[0], nil
+	rs, _, err := RunCellAdaptive(ctx, cfg, SweepOpts{Replicas: replicas, Workers: workers}, nil, false)
+	return rs, err
 }
 
 func aggregate(results []Result) ReplicaSet {
@@ -84,51 +130,9 @@ func aggregate(results []Result) ReplicaSet {
 		rs.RsPerN = rs.MeanRs / rs.MeanN
 	}
 	if len(results) >= 2 {
-		rs.DelayCI = ci95(perReplica)
+		rs.DelayCI = sweep.HalfWidth95(perReplica)
 	} else {
 		rs.DelayCI = results[0].DelayCI
 	}
 	return rs
-}
-
-// ci95 returns the 95% half-width for the mean of a small sample using the
-// normal critical value; callers wanting exact t-values should use more
-// replicas instead.
-func ci95(w stats.Welford) float64 {
-	if w.Count() < 2 {
-		return 0
-	}
-	return 1.96 * w.StdDev() / math.Sqrt(float64(w.Count()))
-}
-
-// Parallel runs fn(i) for i in [0, n) on up to `workers` goroutines
-// (0 means GOMAXPROCS). It is the generic building block for callers whose
-// work units are not simulation configs; sweeps should prefer RunSweep /
-// StreamSweep, which also parallelize across replicas.
-func Parallel(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

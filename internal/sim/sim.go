@@ -17,7 +17,8 @@
 //
 // A single run is strictly sequential and deterministic given its seed;
 // parallelism comes from independent replicas and sweep points scheduled on
-// a shared worker pool (see pool.go and replicas.go).
+// the shared sweep driver, internal/sweep (replicas.go adapts this engine
+// to it).
 //
 // # Steady-state performance
 //

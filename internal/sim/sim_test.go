@@ -710,17 +710,6 @@ func TestDelayHistogram(t *testing.T) {
 	}
 }
 
-func TestParallelHelper(t *testing.T) {
-	out := make([]int, 100)
-	Parallel(100, 8, func(i int) { out[i] = i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("Parallel skipped index %d", i)
-		}
-	}
-	Parallel(0, 4, func(int) { t.Fatal("should not run") })
-}
-
 func rel(got, want float64) float64 {
 	if want == 0 {
 		return math.Abs(got)

@@ -1,12 +1,8 @@
 package stats
 
-// Variance-reduction estimators for replicated simulations: paired-difference
-// confidence intervals for common-random-number comparisons, and a
-// jackknifed control-variate estimator for means with an analytically known
-// auxiliary observable. Both are small-sample honest: half-widths use
-// Student's t critical values, and the control-variate coefficient is
-// bias-corrected by the leave-one-out jackknife (estimating β from the same
-// sample that is being adjusted biases the naive estimator at small n).
+// Variance-reduction estimators for replicated simulations: the
+// paired-difference confidence interval for common-random-number
+// comparisons, small-sample honest through Student's t critical values.
 
 import "math"
 
@@ -30,91 +26,4 @@ func PairedDiff(x, y []float64) (mean, halfWidth float64) {
 		return w.Mean(), math.Inf(1)
 	}
 	return w.Mean(), tCrit95(n-1) * w.StdDev() / math.Sqrt(float64(n))
-}
-
-// CVEstimate is the output of ControlVariate: the bias-corrected point
-// estimate of E[y], its 95% confidence half-width, the full-sample control
-// coefficient β̂ = Ĉov(y,c)/V̂ar(c), and the sample size.
-type CVEstimate struct {
-	Est       float64
-	HalfWidth float64
-	Beta      float64
-	N         int
-}
-
-// ControlVariate estimates E[y] from paired observations (y[i], c[i]) where
-// the control c has known expectation cMean, using the regression-adjusted
-// estimator ȳ − β̂(c̄ − cMean) with β̂ = Ĉov(y,c)/V̂ar(c). Because β̂ is
-// estimated from the same sample, the naive plug-in estimator is biased at
-// small n; the leave-one-out jackknife removes the O(1/n) bias term and its
-// pseudovalue spread gives the confidence half-width (t-based, n−1 degrees
-// of freedom).
-//
-// Degenerate inputs fall back gracefully: below three observations (the
-// jackknife needs leave-one-out covariances), or when the control is
-// constant, the plain sample mean and its t-interval are returned with
-// Beta = 0. Perfect correlation collapses the interval to zero, as it
-// should — y − βc is then deterministic.
-func ControlVariate(y, c []float64, cMean float64) CVEstimate {
-	if len(y) != len(c) {
-		panic("stats: ControlVariate slices have different lengths")
-	}
-	n := len(y)
-	if n < 3 {
-		var w Welford
-		for _, v := range y {
-			w.Add(v)
-		}
-		hw := math.Inf(1)
-		if n == 2 {
-			hw = tCrit95(1) * w.StdDev() / math.Sqrt2
-		}
-		return CVEstimate{Est: w.Mean(), HalfWidth: hw, N: n}
-	}
-
-	// Two-pass centered moments: with dy = y−ȳ and dc = c−c̄, the
-	// leave-one-out covariance and variance have the closed forms
-	//   Cov_i ∝ Σdy·dc − (n/(n−1))·dy_i·dc_i
-	//   Var_i ∝ Σdc²   − (n/(n−1))·dc_i²
-	// so the full jackknife runs in O(n) with no re-summation.
-	var ySum, cSum float64
-	for i := range y {
-		ySum += y[i]
-		cSum += c[i]
-	}
-	fn := float64(n)
-	yBar, cBar := ySum/fn, cSum/fn
-	var syc, scc float64
-	for i := range y {
-		syc += (y[i] - yBar) * (c[i] - cBar)
-		scc += (c[i] - cBar) * (c[i] - cBar)
-	}
-
-	full := yBar // β = 0 fallback when the control carries no signal
-	var beta float64
-	if scc > 0 {
-		beta = syc / scc
-		full = yBar - beta*(cBar-cMean)
-	}
-
-	n1 := fn - 1
-	var pseudo Welford
-	for i := range y {
-		dy, dc := y[i]-yBar, c[i]-cBar
-		covI := syc - fn/n1*dy*dc
-		varI := scc - fn/n1*dc*dc
-		yBarI := yBar - dy/n1
-		cBarI := cBar - dc/n1
-		thetaI := yBarI
-		if varI > 0 {
-			thetaI = yBarI - covI/varI*(cBarI-cMean)
-		}
-		pseudo.Add(fn*full - n1*thetaI)
-	}
-	return CVEstimate{
-		Est:       pseudo.Mean(),
-		HalfWidth: tCrit95(n-1) * pseudo.StdDev() / math.Sqrt(fn),
-		Beta:      beta,
-		N:         n,
-	}
 }

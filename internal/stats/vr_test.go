@@ -55,146 +55,6 @@ func TestPairedDiffSmallSamples(t *testing.T) {
 	PairedDiff([]float64{1, 2}, []float64{1})
 }
 
-func TestControlVariatePerfectCorrelation(t *testing.T) {
-	// y = 2c + 5 exactly: y − 2(c − cMean) is the constant 5 + 2·cMean,
-	// so the estimator must return it exactly with zero half-width.
-	rng := xrand.New(3)
-	cMean := 4.0
-	y := make([]float64, 12)
-	c := make([]float64, 12)
-	for i := range y {
-		c[i] = cMean + rng.Norm()
-		y[i] = 2*c[i] + 5
-	}
-	cv := ControlVariate(y, c, cMean)
-	want := 5 + 2*cMean
-	if math.Abs(cv.Est-want) > 1e-9 {
-		t.Fatalf("perfectly correlated: est=%v, want %v", cv.Est, want)
-	}
-	if cv.HalfWidth > 1e-9 {
-		t.Fatalf("perfectly correlated: hw=%v, want ~0", cv.HalfWidth)
-	}
-	if math.Abs(cv.Beta-2) > 1e-9 {
-		t.Fatalf("perfectly correlated: beta=%v, want 2", cv.Beta)
-	}
-}
-
-func TestControlVariateAntiCorrelation(t *testing.T) {
-	// y = 10 − c exactly: β = −1 and the estimate is again exact.
-	rng := xrand.New(5)
-	cMean := 2.5
-	y := make([]float64, 10)
-	c := make([]float64, 10)
-	for i := range y {
-		c[i] = cMean + rng.Norm()
-		y[i] = 10 - c[i]
-	}
-	cv := ControlVariate(y, c, cMean)
-	want := 10 - cMean
-	if math.Abs(cv.Est-want) > 1e-9 || cv.HalfWidth > 1e-9 {
-		t.Fatalf("anti-correlated: est=%v hw=%v, want %v, ~0", cv.Est, cv.HalfWidth, want)
-	}
-	if math.Abs(cv.Beta+1) > 1e-9 {
-		t.Fatalf("anti-correlated: beta=%v, want -1", cv.Beta)
-	}
-}
-
-func TestControlVariateIndependent(t *testing.T) {
-	// Independent control: β̂ ≈ 0 and the estimate stays near the plain
-	// mean — the adjustment must not invent signal.
-	rng := xrand.New(11)
-	n := 64
-	y := make([]float64, n)
-	c := make([]float64, n)
-	var w Welford
-	for i := range y {
-		y[i] = 7 + rng.Norm()
-		c[i] = 3 + rng.Norm()
-		w.Add(y[i])
-	}
-	cv := ControlVariate(y, c, 3)
-	if math.Abs(cv.Beta) > 0.3 {
-		t.Fatalf("independent control: beta=%v, want ~0", cv.Beta)
-	}
-	if math.Abs(cv.Est-w.Mean()) > 0.3 {
-		t.Fatalf("independent control: est=%v drifted from mean %v", cv.Est, w.Mean())
-	}
-}
-
-func TestControlVariateConstantControl(t *testing.T) {
-	y := []float64{1, 2, 3, 4}
-	c := []float64{5, 5, 5, 5}
-	cv := ControlVariate(y, c, 5)
-	if cv.Est != 2.5 || cv.Beta != 0 {
-		t.Fatalf("constant control: est=%v beta=%v, want plain mean 2.5, beta 0", cv.Est, cv.Beta)
-	}
-}
-
-func TestControlVariateSmallSampleFallback(t *testing.T) {
-	cv := ControlVariate([]float64{4}, []float64{1}, 1)
-	if cv.Est != 4 || !math.IsInf(cv.HalfWidth, 1) {
-		t.Fatalf("n=1: est=%v hw=%v, want 4, +Inf", cv.Est, cv.HalfWidth)
-	}
-	cv = ControlVariate([]float64{4, 6}, []float64{1, 2}, 1)
-	if cv.Est != 5 || cv.Beta != 0 {
-		t.Fatalf("n=2: est=%v beta=%v, want plain mean 5, beta 0", cv.Est, cv.Beta)
-	}
-}
-
-// naiveCV is the plug-in control-variate estimator without jackknife
-// correction, used as the bias baseline below.
-func naiveCV(y, c []float64, cMean float64) float64 {
-	n := float64(len(y))
-	var ySum, cSum float64
-	for i := range y {
-		ySum += y[i]
-		cSum += c[i]
-	}
-	yBar, cBar := ySum/n, cSum/n
-	var syc, scc float64
-	for i := range y {
-		syc += (y[i] - yBar) * (c[i] - cBar)
-		scc += (c[i] - cBar) * (c[i] - cBar)
-	}
-	if scc == 0 {
-		return yBar
-	}
-	return yBar - syc/scc*(cBar-cMean)
-}
-
-func TestControlVariateJackknifeBias(t *testing.T) {
-	// Non-normal case where the naive plug-in estimator is biased at small
-	// n: c ~ Exp(1) (cMean = 1), y = c², E[y] = 2. (Bivariate-normal pairs
-	// would not do: there the naive estimator is exactly unbiased.) Average
-	// the estimation error over many small-sample replications; the
-	// jackknifed estimator's bias must be well below the naive one's.
-	const (
-		n    = 8
-		reps = 20000
-		want = 2.0
-	)
-	rng := xrand.New(42)
-	y := make([]float64, n)
-	c := make([]float64, n)
-	var naiveBias, jackBias float64
-	for r := 0; r < reps; r++ {
-		for i := 0; i < n; i++ {
-			c[i] = rng.Exp(1)
-			y[i] = c[i] * c[i]
-		}
-		naiveBias += naiveCV(y, c, 1) - want
-		jackBias += ControlVariate(y, c, 1).Est - want
-	}
-	naiveBias /= reps
-	jackBias /= reps
-	if math.Abs(naiveBias) < 0.02 {
-		t.Fatalf("test setup lost its power: naive bias %v is too small to discriminate", naiveBias)
-	}
-	if math.Abs(jackBias) > math.Abs(naiveBias)/2 {
-		t.Fatalf("jackknife bias %v not well below naive bias %v", jackBias, naiveBias)
-	}
-}
-
 func TestRNGStateRoundTrip(t *testing.T) {
 	// Snapshot support: Restore(State()) must continue the exact sequence.
 	rng := xrand.New(99)

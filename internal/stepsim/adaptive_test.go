@@ -7,7 +7,15 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
+
+// runSweep collects a sweep's cells in input order.
+func runSweep(cfgs []Config, opts SweepOpts) ([]ReplicaSet, error) {
+	return sweep.Collect(len(cfgs), func(emit func(int, ReplicaSet, error)) {
+		StreamSweepAdaptive(context.Background(), cfgs, opts, emit)
+	})
+}
 
 // smallCfg is a fast adaptive-test configuration: big enough to have real
 // queueing variance, small enough that dozens of replicas stay cheap.
@@ -17,28 +25,13 @@ func smallCfg(n int, rho float64, seed uint64) Config {
 	return c
 }
 
-// TestAdaptiveMatchesFixed pins that zero-valued adaptive options
-// reproduce the fixed sweep bit-for-bit — the default path is untouched.
+// TestAdaptiveMatchesFixed pins that adaptive options with no target
+// reproduce the fixed 3-replica sweep's goldens bit for bit: fixed mode is
+// the one-rung ladder of the same pool.
 func TestAdaptiveMatchesFixed(t *testing.T) {
-	cfgs := []Config{smallCfg(6, 0.5, 71), smallCfg(6, 0.7, 71)}
-	want, err := RunSweep(context.Background(), cfgs, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunSweepAdaptive(context.Background(), cfgs, SweepOpts{Replicas: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(got[i].MeanDelay) != math.Float64bits(want[i].MeanDelay) ||
-			math.Float64bits(got[i].DelayCI) != math.Float64bits(want[i].DelayCI) ||
-			math.Float64bits(got[i].MeanN) != math.Float64bits(want[i].MeanN) {
-			t.Errorf("point %d: adaptive fixed-mode result differs from RunSweep", i)
-		}
-		if got[i].ReplicasUsed != 3 {
-			t.Errorf("point %d: ReplicasUsed %d, want 3", i, got[i].ReplicasUsed)
-		}
-	}
+	fixed := sweepGoldenModes()[0]
+	fixed.opts = &SweepOpts{Replicas: 3}
+	checkSweepGolden(t, fixed, 4, runSweepGolden(t, fixed, 4))
 }
 
 // TestAdaptiveStopsAtTarget checks sequential stopping on the slotted
@@ -46,14 +39,14 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 // half-width really is under the target.
 func TestAdaptiveStopsAtTarget(t *testing.T) {
 	cfg := smallCfg(6, 0.6, 17)
-	loose, err := RunSweepAdaptive(context.Background(), []Config{cfg}, SweepOpts{TargetCI: 50, MinReps: 3, MaxReps: 24, Workers: 4})
+	loose, err := runSweep([]Config{cfg}, SweepOpts{TargetCI: 50, MinReps: 3, MaxReps: 24, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loose[0].ReplicasUsed != 3 {
 		t.Errorf("loose target used %d replicas, want MinReps=3", loose[0].ReplicasUsed)
 	}
-	tight, err := RunSweepAdaptive(context.Background(), []Config{cfg}, SweepOpts{TargetCI: 0.01, MinReps: 3, MaxReps: 24, Workers: 4})
+	tight, err := runSweep([]Config{cfg}, SweepOpts{TargetCI: 0.01, MinReps: 3, MaxReps: 24, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,29 +56,6 @@ func TestAdaptiveStopsAtTarget(t *testing.T) {
 	if tight[0].ReplicasUsed <= loose[0].ReplicasUsed && tight[0].DelayCI > loose[0].DelayCI {
 		t.Errorf("tighter target did not spend more replicas: %d vs %d", tight[0].ReplicasUsed, loose[0].ReplicasUsed)
 	}
-}
-
-// TestControlVariateConsistency: the CV estimator of record must agree
-// with the plain estimate well within its interval, and its half-width
-// must be finite for a positively correlated control.
-func TestControlVariateConsistency(t *testing.T) {
-	cfg := smallCfg(8, 0.8, 29)
-	plain, err := RunSweepAdaptive(context.Background(), []Config{cfg}, SweepOpts{Replicas: 8, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cv, err := RunSweepAdaptive(context.Background(), []Config{cfg}, SweepOpts{Replicas: 8, Workers: 4, ControlVariates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(cv[0].MeanDelay - plain[0].MeanDelay); diff > 3*plain[0].DelayCI {
-		t.Errorf("CV estimate %v vs plain %v: difference %v outside 3 half-widths (%v)",
-			cv[0].MeanDelay, plain[0].MeanDelay, diff, plain[0].DelayCI)
-	}
-	if cv[0].DelayCI <= 0 || math.IsInf(cv[0].DelayCI, 0) {
-		t.Errorf("CV half-width %v not finite positive", cv[0].DelayCI)
-	}
-	t.Logf("plain hw %.5f, CV hw %.5f", plain[0].DelayCI, cv[0].DelayCI)
 }
 
 // TestWarmStartLadderAgreement runs a ρ-ladder cold and warm-started; the
@@ -99,11 +69,11 @@ func TestWarmStartLadderAgreement(t *testing.T) {
 		return c
 	}
 	cfgs := []Config{mk(0.5), mk(0.6), mk(0.7)}
-	cold, err := RunSweepAdaptive(context.Background(), cfgs, SweepOpts{Replicas: 5, Workers: 4})
+	cold, err := runSweep(cfgs, SweepOpts{Replicas: 5, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunSweepAdaptive(context.Background(), cfgs, SweepOpts{Replicas: 5, Workers: 4, WarmStart: true, RewarmSlots: 200})
+	warm, err := runSweep(cfgs, SweepOpts{Replicas: 5, Workers: 4, WarmStart: true, Rewarm: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +98,7 @@ func TestCRNPairedDifference(t *testing.T) {
 	n := 6
 	const reps = 8
 	lo, hi := smallCfg(n, 0.60, 777), smallCfg(n, 0.65, 777) // shared base seed = CRN
-	sets, err := RunSweep(context.Background(), []Config{lo, hi}, reps, 4)
+	sets, err := runSweep([]Config{lo, hi}, SweepOpts{Replicas: reps, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

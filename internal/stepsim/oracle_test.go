@@ -261,9 +261,15 @@ func TestEngineMatchesOracleBitForBit(t *testing.T) {
 	}
 }
 
+// runReplicas runs `replicas` replicas of cfg through the sweep driver.
+func runReplicas(cfg Config, replicas int) (ReplicaSet, error) {
+	rs, _, err := RunCellAdaptive(context.Background(), cfg, SweepOpts{Replicas: replicas}, nil, false)
+	return rs, err
+}
+
 // oracleReplicas runs the dense oracle `replicas` times on seeds
 // independent of the engine's replica streams and aggregates them exactly
-// as RunReplicas does.
+// as the sweep driver does.
 func oracleReplicas(t *testing.T, cfg Config, replicas int) ReplicaSet {
 	t.Helper()
 	results := make([]Result, replicas)
@@ -304,7 +310,7 @@ func TestEngineOracleStatisticalEquivalence(t *testing.T) {
 	ci := func(w *stats.Welford) float64 { return 1.96 * w.StdDev() / math.Sqrt(float64(w.Count())) }
 	for _, tc := range oracleCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, err := RunReplicas(context.Background(), tc.cfg, replicas, 0)
+			eng, err := runReplicas(tc.cfg, replicas)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +343,7 @@ func TestSparseDenseStatisticalEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("rho=%g", rho), func(t *testing.T) {
 			cfg := arrayCfg(64, rho, 4242)
 			cfg.WarmupSlots, cfg.Slots = 300, 1200
-			sparse, err := RunReplicas(context.Background(), cfg, replicas, 0)
+			sparse, err := runReplicas(cfg, replicas)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,11 +441,11 @@ func TestStreamSweepDeterministicAcrossWorkers(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i].WarmupSlots, cfgs[i].Slots = 200, 2000
 	}
-	one, err := RunSweep(context.Background(), cfgs, 3, 1)
+	one, err := runSweep(cfgs, SweepOpts{Replicas: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunSweep(context.Background(), cfgs, 3, 8)
+	many, err := runSweep(cfgs, SweepOpts{Replicas: 3, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

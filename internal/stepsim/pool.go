@@ -2,30 +2,27 @@ package stepsim
 
 import (
 	"context"
-	"math"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/xrand"
+	"repro/internal/sweep"
 )
 
-// This file is the slotted mirror of internal/sim's sweep surface. The
-// worker pool, in-order reorder buffer and error selection are the SAME
-// implementation (sim.StreamCells), so the two engines' sweep semantics
-// cannot drift; the seed derivation also matches — replica r of cell c
-// runs the stream Split(cfgs[c].Seed, r) — so a slotted sweep is
-// bit-identical from 1 worker to GOMAXPROCS and its replica streams line
-// up with the event engine's for matched comparisons. Each worker owns one
-// Engine and resets it per task, so the per-run setup (ring slab, tables,
-// scratch) amortizes to ~0 allocations across a sweep.
+// The slotted engine's sweep surface: an adapter onto the shared driver in
+// internal/sweep, so the pool, stopping rule, seed derivation (replica r of
+// point c runs Split(cfgs[c].Seed, r)) and warm-start chain are the event
+// engine's exactly, and a slotted sweep is bit-identical from 1 worker to
+// GOMAXPROCS. Each runner owns one Engine and resets it per task, so the
+// per-run setup (ring slab, tables, scratch) amortizes to ~0 allocations
+// across a sweep.
 //
 // Sweeps with fewer tasks than cores trade the missing task-parallelism
 // for intra-run sharding: configurations that leave Shards at 0 inherit
-// sim.SpareFactor(points, replicas, workers) tiles per run, so a short
-// sweep (or the tail of a long one) no longer leaves cores idle. The
-// sharded engine's results are bit-identical at every shard count, so this
-// machine-dependent choice never changes what a sweep computes — only how
-// fast. Configurations that set Shards explicitly are left alone.
+// sweep.SpareFactor(points, replicas, workers) tiles per run, clamped to
+// the engine's tile limit, so a short sweep (or the tail of a long one) no
+// longer leaves cores idle. The engine's results are bit-identical at
+// every shard count, so this machine-dependent choice never changes what a
+// sweep computes — only how fast. Configurations that set Shards
+// explicitly are left alone.
 
 // ReplicaSet aggregates independent replications of one slotted
 // configuration, mirroring sim.ReplicaSet for the fields the slotted model
@@ -60,73 +57,66 @@ type ReplicaSet struct {
 	LinkDownFrac float64
 	NodeDownFrac float64
 	// ReplicasUsed is how many replicas produced this cell; adaptive
-	// sweeps (RunSweepAdaptive) stop early once the target half-width is
-	// met, so this varies per point there.
+	// sweeps (SweepOpts.TargetCI) stop early once the target half-width
+	// is met, so this varies per point there.
 	ReplicasUsed int
 }
 
-// StreamSweep runs every configuration in cfgs with `replicas` independent
-// replicas (minimum 1) on a pool of up to `workers` goroutines (0 means
-// GOMAXPROCS). emit is called exactly once per configuration, in input
-// order, as soon as that cell and all earlier cells have finished. err is
-// the first per-replica error of that cell (rs is zero-valued when err is
-// non-nil). emit runs on the calling goroutine.
-func StreamSweep(ctx context.Context, cfgs []Config, replicas, workers int, emit func(i int, rs ReplicaSet, err error)) {
-	// Clamp to the engine's tile limit: auto-sharding is a perf knob and
-	// must never make a configuration unrunnable, whatever the worker
-	// count requested.
-	spare := min(sim.SpareFactor(len(cfgs), replicas, workers), maxShards)
-	sim.StreamCells(ctx, len(cfgs), replicas, workers,
-		func() func(cell, rep int) (Result, error) {
-			var eng Engine // reused across this worker's tasks
-			return func(cell, rep int) (Result, error) {
-				rcfg := cfgs[cell]
-				rcfg.Seed = xrand.Split(rcfg.Seed, uint64(rep)).Uint64()
-				if rcfg.Shards == 0 {
-					// Spend otherwise-idle cores inside the run; results
-					// are shard-count independent, so this is perf-only.
-					rcfg.Shards = spare
-				}
-				if rcfg.Ctx == nil {
-					// Thread the pool's context into the engine so an
-					// in-flight run aborts promptly, not just queued ones.
-					rcfg.Ctx = ctx
-				}
-				return eng.Run(rcfg)
-			}
-		},
-		func(i int, rs []Result, err error) {
-			if err != nil {
-				emit(i, ReplicaSet{}, err)
-			} else {
-				emit(i, aggregate(rs), nil)
-			}
-		})
-}
+// SweepOpts configures a sweep's replication policy; see sweep.Opts.
+// Rewarm counts slots.
+type SweepOpts = sweep.Opts
 
-// RunSweep executes every configuration with `replicas` replicas on one
-// shared worker pool and returns the aggregated cells in input order. The
-// returned error is the first cell error encountered.
-func RunSweep(ctx context.Context, cfgs []Config, replicas, workers int) ([]ReplicaSet, error) {
-	sets := make([]ReplicaSet, len(cfgs))
-	var first error
-	StreamSweep(ctx, cfgs, replicas, workers, func(i int, rs ReplicaSet, err error) {
-		sets[i] = rs
-		if err != nil && first == nil {
-			first = err
+// adapter plugs the slotted engine into internal/sweep.
+var adapter = sweep.Adapter[Config, Result, *Snapshot, ReplicaSet]{
+	Seed: func(cfg Config) uint64 { return cfg.Seed },
+	NewRunner: func() func(Config, sweep.Replica[*Snapshot]) (Result, error) {
+		var eng Engine
+		return func(cfg Config, rep sweep.Replica[*Snapshot]) (Result, error) {
+			cfg.Seed = rep.Seed
+			if cfg.Shards == 0 {
+				// Spend otherwise-idle cores inside the run, clamped to the
+				// tile limit: auto-sharding is a perf knob and must never
+				// make a configuration unrunnable.
+				cfg.Shards = min(rep.Spare, maxShards)
+			}
+			if cfg.Ctx == nil {
+				cfg.Ctx = rep.Ctx
+			}
+			cfg.Capture = rep.Capture
+			if rep.Resume != nil {
+				cfg.Resume, cfg.WarmupSlots = rep.Resume, int(rep.Rewarm)
+			}
+			return eng.Run(cfg)
 		}
-	})
-	return sets, first
+	},
+	Delay: func(r Result) float64 { return r.MeanDelay },
+	Detach: func(r *Result) *Snapshot {
+		sn := r.Snapshot
+		r.Snapshot = nil
+		return sn
+	},
+	Aggregate: aggregate,
 }
 
-// RunReplicas executes `replicas` independent runs of cfg and aggregates
-// them; replica i uses the stream Split(cfg.Seed, i).
-func RunReplicas(ctx context.Context, cfg Config, replicas, workers int) (ReplicaSet, error) {
-	sets, err := RunSweep(ctx, []Config{cfg}, replicas, workers)
-	if err != nil {
-		return ReplicaSet{}, err
-	}
-	return sets[0], nil
+// StreamSweepAdaptive runs every configuration under opts on the shared
+// sweep driver (sweep.Stream), emitting cells in input order as they
+// converge.
+func StreamSweepAdaptive(ctx context.Context, cfgs []Config, opts SweepOpts, emit func(i int, rs ReplicaSet, err error)) {
+	sweep.Stream(ctx, adapter, cfgs, opts, emit)
+}
+
+// StreamSweep is StreamSweepAdaptive with a fixed `replicas` replicas per
+// configuration on up to `workers` goroutines (0 means GOMAXPROCS).
+func StreamSweep(ctx context.Context, cfgs []Config, replicas, workers int, emit func(i int, rs ReplicaSet, err error)) {
+	StreamSweepAdaptive(ctx, cfgs, SweepOpts{Replicas: replicas, Workers: workers}, emit)
+}
+
+// RunCellAdaptive runs one sweep point under opts, optionally resuming
+// replica r from prevSnaps[r] and capturing end-of-run snapshots; see
+// sweep.Cell. Its shard counts may differ from a pooled sweep's spare
+// factor, which is safe because sharding is result-inert.
+func RunCellAdaptive(ctx context.Context, cfg Config, opts SweepOpts, prevSnaps []*Snapshot, capture bool) (ReplicaSet, []*Snapshot, error) {
+	return sweep.Cell(ctx, adapter, cfg, opts, prevSnaps, capture)
 }
 
 func aggregate(results []Result) ReplicaSet {
@@ -152,8 +142,6 @@ func aggregate(results []Result) ReplicaSet {
 	rs.ArrivalSlotFraction /= float64(len(results))
 	rs.LinkDownFrac /= float64(len(results))
 	rs.NodeDownFrac /= float64(len(results))
-	if perReplica.Count() >= 2 {
-		rs.DelayCI = 1.96 * perReplica.StdDev() / math.Sqrt(float64(perReplica.Count()))
-	}
+	rs.DelayCI = sweep.HalfWidth95(perReplica)
 	return rs
 }

@@ -1,7 +1,6 @@
 package stepsim
 
 import (
-	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -216,17 +215,17 @@ func TestShardedEngineReuseSteadyStateAllocs(t *testing.T) {
 func TestStreamSweepAutoShardsDeterministic(t *testing.T) {
 	cfg := arrayCfg(6, 0.8, 77)
 	cfg.WarmupSlots, cfg.Slots = 200, 1500
-	serial, err := RunSweep(context.Background(), []Config{cfg}, 1, 1) // 1 task, 1 worker: spare=1
+	serial, err := runSweep([]Config{cfg}, SweepOpts{Replicas: 1, Workers: 1}) // 1 task, 1 worker: spare=1
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := RunSweep(context.Background(), []Config{cfg}, 1, 6) // 1 task, 6 workers: spare=6
+	auto, err := runSweep([]Config{cfg}, SweepOpts{Replicas: 1, Workers: 6}) // 1 task, 6 workers: spare=6
 	if err != nil {
 		t.Fatal(err)
 	}
 	explicit := cfg
 	explicit.Shards = 3
-	pinned, err := RunSweep(context.Background(), []Config{explicit}, 1, 2)
+	pinned, err := runSweep([]Config{explicit}, SweepOpts{Replicas: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +243,11 @@ func TestStreamSweepAutoShardsDeterministic(t *testing.T) {
 func TestStreamSweepAutoShardsClamped(t *testing.T) {
 	cfg := arrayCfg(4, 0.5, 9)
 	cfg.WarmupSlots, cfg.Slots = 50, 300
-	ref, err := RunSweep(context.Background(), []Config{cfg}, 1, 1)
+	ref, err := runSweep([]Config{cfg}, SweepOpts{Replicas: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	huge, err := RunSweep(context.Background(), []Config{cfg}, 1, 5000) // spare factor 5000 > maxShards
+	huge, err := runSweep([]Config{cfg}, SweepOpts{Replicas: 1, Workers: 5000}) // spare factor 5000 > maxShards
 	if err != nil {
 		t.Fatalf("auto-sharding made the sweep unrunnable: %v", err)
 	}

@@ -60,7 +60,9 @@
 // An Engine's state survives across runs: Run resets bookkeeping but keeps
 // the ring slab, tables and scratch, so a sweep that reuses one Engine per
 // worker (see StreamSweep) amortizes setup to ~0 allocations per point.
-// The zero Engine value is ready to use.
+// The zero Engine value is ready to use. Sweeps run on the shared driver in
+// internal/sweep, the same one internal/sim uses; pool.go is this engine's
+// adapter to it.
 package stepsim
 
 import (
@@ -191,10 +193,7 @@ type Result struct {
 	// slots. Exact-integer accumulation, like MeanActiveEdges.
 	ArrivalSlotFraction float64
 	// Generated counts packets generated during measured slots (including
-	// zero-hop ones). Its exact expectation — NodeRate × sources × Slots —
-	// is known analytically, which makes it the control variable the
-	// variance-reduction layer (stats.ControlVariate) regresses out of the
-	// delay estimate.
+	// zero-hop ones); its exact expectation is NodeRate × sources × Slots.
 	Generated int64
 	// Snapshot is the end-of-run engine checkpoint, present only when the
 	// run was configured with Capture. It feeds Config.Resume.
@@ -486,7 +485,7 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // Run executes one synchronous simulation on a throwaway engine. Sweeps
-// should reuse an Engine (or go through RunReplicas/StreamSweep, which do).
+// should reuse an Engine (or go through StreamSweep, which does).
 func Run(cfg Config) (Result, error) {
 	var e Engine
 	return e.Run(cfg)

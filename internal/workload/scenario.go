@@ -11,6 +11,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stepsim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
@@ -285,10 +286,6 @@ type Scenario struct {
 	TargetCI    float64 `json:"targetCI,omitempty"`
 	MinReplicas int     `json:"minReplicas,omitempty"`
 	MaxReplicas int     `json:"maxReplicas,omitempty"`
-	// ControlVariates regresses the exactly known per-replica arrival
-	// count out of the delay estimate (stats.ControlVariate); requires
-	// Poisson arrivals, which are the only kind with a closed-form count.
-	ControlVariates bool `json:"controlVariates,omitempty"`
 	// WarmStart chains engine snapshots along the load ladder: each
 	// point's replicas resume from the previous point's captured steady
 	// state with RewarmSlots of re-warm (slots for the slotted engine,
@@ -389,8 +386,8 @@ func (s Scenario) checkFields() error {
 	if s.MinReplicas > 0 && s.MaxReplicas > 0 && s.MaxReplicas < s.MinReplicas {
 		return fmt.Errorf("workload: scenario %q has maxReplicas %d < minReplicas %d", s.Name, s.MaxReplicas, s.MinReplicas)
 	}
-	if kind := s.Arrivals.withDefaults().Kind; kind != "poisson" && (s.ControlVariates || s.WarmStart) {
-		return fmt.Errorf("workload: scenario %q uses %s arrivals; control variates and warm starts need Poisson arrivals (closed-form counts and snapshottable engines)", s.Name, kind)
+	if kind := s.Arrivals.withDefaults().Kind; kind != "poisson" && s.WarmStart {
+		return fmt.Errorf("workload: scenario %q uses %s arrivals; warm starts need Poisson arrivals (snapshottable engines)", s.Name, kind)
 	}
 	if err := s.Faults.Validate(); err != nil {
 		return fmt.Errorf("workload: scenario %q: %w", s.Name, err)
@@ -545,45 +542,30 @@ func (b *Bound) SlottedConfigs() ([]stepsim.Config, error) {
 	return cfgs, nil
 }
 
-// SweepOpts lowers the scenario's replication policy for the event-driven
-// engine's sweep pool (sim.RunSweepAdaptive). workers bounds the pool's
-// goroutines (0 means GOMAXPROCS).
-func (s Scenario) SweepOpts(workers int) sim.SweepOpts {
+// SweepOpts lowers the scenario's replication policy for either engine's
+// sweep driver (sim.StreamSweepAdaptive, stepsim.StreamSweepAdaptive).
+// workers bounds the pool's goroutines (0 means GOMAXPROCS); RewarmSlots
+// carries over as the same number of time units for the event engine.
+func (s Scenario) SweepOpts(workers int) sweep.Opts {
 	s = s.withDefaults()
-	return sim.SweepOpts{
-		Replicas:        s.Replicas,
-		Workers:         workers,
-		TargetCI:        s.TargetCI,
-		MinReps:         s.MinReplicas,
-		MaxReps:         s.MaxReplicas,
-		ControlVariates: s.ControlVariates,
-		WarmStart:       s.WarmStart,
-		Rewarm:          float64(s.RewarmSlots),
-	}
-}
-
-// SlottedSweepOpts is SweepOpts for the slotted engine
-// (stepsim.RunSweepAdaptive).
-func (s Scenario) SlottedSweepOpts(workers int) stepsim.SweepOpts {
-	s = s.withDefaults()
-	return stepsim.SweepOpts{
-		Replicas:        s.Replicas,
-		Workers:         workers,
-		TargetCI:        s.TargetCI,
-		MinReps:         s.MinReplicas,
-		MaxReps:         s.MaxReplicas,
-		ControlVariates: s.ControlVariates,
-		WarmStart:       s.WarmStart,
-		RewarmSlots:     s.RewarmSlots,
+	return sweep.Opts{
+		Replicas:  s.Replicas,
+		Workers:   workers,
+		TargetCI:  s.TargetCI,
+		MinReps:   s.MinReplicas,
+		MaxReps:   s.MaxReplicas,
+		WarmStart: s.WarmStart,
+		Rewarm:    float64(s.RewarmSlots),
 	}
 }
 
 // SweepOpts is Scenario.SweepOpts for the bound scenario.
-func (b *Bound) SweepOpts(workers int) sim.SweepOpts {
+func (b *Bound) SweepOpts(workers int) sweep.Opts {
 	return b.Scenario.SweepOpts(workers)
 }
 
-// SlottedSweepOpts is Scenario.SlottedSweepOpts for the bound scenario.
-func (b *Bound) SlottedSweepOpts(workers int) stepsim.SweepOpts {
-	return b.Scenario.SlottedSweepOpts(workers)
+// SlottedSweepOpts is SweepOpts for the slotted engine; both engines take
+// the same options.
+func (b *Bound) SlottedSweepOpts(workers int) sweep.Opts {
+	return b.Scenario.SweepOpts(workers)
 }

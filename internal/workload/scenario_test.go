@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stepsim"
+	"repro/internal/sweep"
 	"repro/internal/xrand"
 )
 
@@ -129,7 +130,9 @@ func TestQuickScenarioRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sets, err := sim.RunSweep(context.Background(), b.Configs, b.Scenario.Replicas, 0)
+		sets, err := sweep.Collect(len(b.Configs), func(emit func(int, sim.ReplicaSet, error)) {
+			sim.StreamSweep(context.Background(), b.Configs, b.Scenario.Replicas, 0, emit)
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -327,7 +330,8 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 		name, json, want string
 	}{
 		{"retired dense", head + `,"dense":true}`, `"dense"`},
-		{"retired md1Control", head + `,"controlVariates":true,"md1Control":true}`, `"md1Control"`},
+		{"retired md1Control", head + `,"md1Control":true}`, `"md1Control"`},
+		{"retired controlVariates", head + `,"controlVariates":true}`, `"controlVariates"`},
 		{"misspelled targetCI", head + `,"targetCl":0.1}`, `"targetCl"`},
 		{"nested fault typo", head + `,"faults":{"link_mtbf":100,"link_mtr":5}}`, `"link_mtr"`},
 		{"trailing garbage", head + `} {"name":"x"}`, "trailing data"},
@@ -340,14 +344,14 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 }
 
 // TestScenarioVarianceReductionKnobs covers the opt-in adaptive fields:
-// JSON round-trip, lowering to both engines' SweepOpts, and rejection of
+// JSON round-trip, lowering to the engines' shared sweep.Opts, and rejection of
 // inconsistent or model-incompatible combinations.
 func TestScenarioVarianceReductionKnobs(t *testing.T) {
 	src := `{
 		"name": "vr", "topology": {"kind": "array", "n": 6},
 		"pattern": {"kind": "uniform"}, "loads": [0.5, 0.7],
 		"targetCI": 0.05, "minReplicas": 3, "maxReplicas": 20,
-		"controlVariates": true, "warmStart": true, "rewarmSlots": 250
+		"warmStart": true, "rewarmSlots": 250
 	}`
 	s, err := ParseScenario([]byte(src))
 	if err != nil {
@@ -355,23 +359,18 @@ func TestScenarioVarianceReductionKnobs(t *testing.T) {
 	}
 	so := s.SweepOpts(4)
 	if so.TargetCI != 0.05 || so.MinReps != 3 || so.MaxReps != 20 ||
-		!so.ControlVariates || !so.WarmStart || so.Rewarm != 250 || so.Workers != 4 {
-		t.Errorf("sim opts lowered wrong: %+v", so)
-	}
-	sso := s.SlottedSweepOpts(2)
-	if sso.TargetCI != 0.05 || sso.MinReps != 3 || sso.MaxReps != 20 ||
-		!sso.ControlVariates || !sso.WarmStart || sso.RewarmSlots != 250 || sso.Workers != 2 {
-		t.Errorf("slotted opts lowered wrong: %+v", sso)
+		!so.WarmStart || so.Rewarm != 250 || so.Workers != 4 {
+		t.Errorf("opts lowered wrong: %+v", so)
 	}
 	// The knobs are omitempty: a default scenario round-trips without them.
 	plain := s
 	plain.TargetCI, plain.MinReplicas, plain.MaxReplicas = 0, 0, 0
-	plain.ControlVariates, plain.WarmStart, plain.RewarmSlots = false, false, 0
+	plain.WarmStart, plain.RewarmSlots = false, 0
 	data, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"targetCI", "minReplicas", "maxReplicas", "controlVariates", "warmStart", "rewarmSlots"} {
+	for _, field := range []string{"targetCI", "minReplicas", "maxReplicas", "warmStart", "rewarmSlots"} {
 		if strings.Contains(string(data), field) {
 			t.Errorf("zero-valued %s serialized: %s", field, data)
 		}
@@ -390,19 +389,18 @@ func TestScenarioVarianceReductionKnobs(t *testing.T) {
 	bad = s
 	bad.Arrivals.Kind = "bursty"
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "Poisson") {
-		t.Errorf("control variates with bursty arrivals accepted: %v", err)
+		t.Errorf("warm start with bursty arrivals accepted: %v", err)
 	}
 }
 
 // TestScenarioAdaptiveSweepEndToEnd drives a bound scenario through both
-// engines' adaptive pools — the path cmd/scenario uses.
+// engines' adaptive sweeps — the path cmd/scenario uses.
 func TestScenarioAdaptiveSweepEndToEnd(t *testing.T) {
 	s, err := ParseScenario([]byte(`{
 		"name": "vr-e2e", "topology": {"kind": "array", "n": 5},
 		"pattern": {"kind": "uniform"}, "loads": [0.4, 0.6],
 		"horizon": 1200, "warmup": 300, "seed": 9,
-		"targetCI": 0.2, "minReplicas": 3, "maxReplicas": 12,
-		"controlVariates": true}`))
+		"targetCI": 0.2, "minReplicas": 3, "maxReplicas": 12}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +408,9 @@ func TestScenarioAdaptiveSweepEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, err := sim.RunSweepAdaptive(context.Background(), b.Configs, s.SweepOpts(4))
+	sets, err := sweep.Collect(len(b.Configs), func(emit func(int, sim.ReplicaSet, error)) {
+		sim.StreamSweepAdaptive(context.Background(), b.Configs, s.SweepOpts(4), emit)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,9 @@ func TestScenarioAdaptiveSweepEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssets, err := stepsim.RunSweepAdaptive(context.Background(), scfgs, s.SlottedSweepOpts(4))
+	ssets, err := sweep.Collect(len(scfgs), func(emit func(int, stepsim.ReplicaSet, error)) {
+		stepsim.StreamSweepAdaptive(context.Background(), scfgs, b.SlottedSweepOpts(4), emit)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
