@@ -123,6 +123,38 @@ func BenchmarkScenarioSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkBind measures Scenario.Bind, which is dominated by the exact
+// traffic analysis (workload.Analyze: every (source, destination) route
+// walked hop by hop, then λ = a + λP solved). array32-uniform is the
+// 32×32 ladder the event-engine benchmark workload binds; array8-uniform
+// is the size of one sweep-service job, bound on every submit.
+func BenchmarkBind(b *testing.B) {
+	cases := []struct {
+		name  string
+		n     int
+		loads []float64
+	}{
+		{"array32-uniform", 32, []float64{0.3, 0.6, 0.8, 0.9}},
+		{"array8-uniform", 8, []float64{0.3, 0.6, 0.8}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			s := workload.Scenario{
+				Name:     c.name,
+				Topology: workload.TopologySpec{Kind: "array", N: c.n},
+				Pattern:  workload.PatternSpec{Kind: "uniform"},
+				Loads:    c.loads,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Bind(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStepSlots measures the synchronous slotted engine
 // (internal/stepsim): one full run per iteration at ρ = 0.8, with the
 // Engine reused across iterations exactly as the sweep pool reuses it, so

@@ -84,23 +84,6 @@ func TestEdgeRatesSumToMeanDistTimesArrival(t *testing.T) {
 	}
 }
 
-func TestTrafficEquationsReproduceRates(t *testing.T) {
-	// The routing-chain view (λ = a + λP) must agree with direct counting.
-	a := topology.NewArray2D(5)
-	lambda := 0.5
-	tr := BuildTraffic(a, routing.GreedyXY{A: a}, lambda, UniformDist(a), nil)
-	solved, err := tr.SolveIterative(1e-12, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := ExactEdgeRates(a, routing.GreedyXY{A: a}, lambda, UniformDist(a), nil)
-	for e := range solved {
-		if !almost(solved[e], direct[e], 1e-8) {
-			t.Fatalf("edge %d: traffic equations %v vs direct %v", e, solved[e], direct[e])
-		}
-	}
-}
-
 func TestUpperBoundMatchesJacksonEvaluation(t *testing.T) {
 	// Theorem 7's closed form must equal the generic product-form formula
 	// applied to the Theorem 6 rate vector.

@@ -1,7 +1,6 @@
 package bounds
 
 import (
-	"repro/internal/queueing"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/xrand"
@@ -39,7 +38,7 @@ func UniformOverDist(nodes []int) DestDist {
 // λ_e = Σ_{s,d : e ∈ route(s,d)} nodeRate·P[d|s]. This is the combinatorial
 // computation behind Theorem 6, usable for any topology and destination
 // distribution, and it cross-validates both the closed forms and the
-// traffic-equation solver.
+// traffic-equation solver (workload.Analyze).
 //
 // dests may be nil to consider every node a possible destination.
 func ExactEdgeRates(net topology.Network, r routing.Router, nodeRate float64, dist DestDist, dests []int) []float64 {
@@ -64,50 +63,6 @@ func ExactEdgeRates(net topology.Network, r routing.Router, nodeRate float64, di
 		}
 	}
 	return rates
-}
-
-// BuildTraffic constructs the open-network traffic description (external
-// rates and routing chain over edges-as-queues) induced by a deterministic
-// router and destination distribution. Solving its traffic equations must
-// reproduce ExactEdgeRates; the pair is used as a consistency check and to
-// expose the Markov-chain view of greedy routing used by Theorems 1 and 12.
-func BuildTraffic(net topology.Network, r routing.Router, nodeRate float64, dist DestDist, dests []int) *queueing.Traffic {
-	tr := queueing.NewTraffic(net.NumEdges())
-	flow := make([]map[int]float64, net.NumEdges())
-	through := make([]float64, net.NumEdges())
-	if dests == nil {
-		dests = allNodes(net)
-	}
-	var buf []int
-	rng := xrand.New(0)
-	for _, src := range topology.Sources(net) {
-		for _, dst := range dests {
-			w := nodeRate * dist(src, dst)
-			if w == 0 {
-				continue
-			}
-			buf = r.AppendRoute(buf[:0], src, dst, rng)
-			if len(buf) == 0 {
-				continue
-			}
-			tr.External[buf[0]] += w
-			for i, e := range buf {
-				through[e] += w
-				if i+1 < len(buf) {
-					if flow[e] == nil {
-						flow[e] = make(map[int]float64)
-					}
-					flow[e][buf[i+1]] += w
-				}
-			}
-		}
-	}
-	for e, m := range flow {
-		for to, f := range m {
-			tr.Routes[e] = append(tr.Routes[e], queueing.Transition{To: to, Prob: f / through[e]})
-		}
-	}
-	return tr
 }
 
 // MeanRouteLen returns the expected route length under a deterministic

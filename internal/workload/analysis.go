@@ -38,8 +38,10 @@ type Analysis struct {
 // bridge: every (source, destination) pair is walked through the router's
 // steppers (randomized choice routers average uniformly, matching
 // RandGreedy's fair coin) into an open-network Traffic whose traffic
-// equations λ = a + λP are then solved exactly. svcMean optionally gives
-// per-edge mean service times (nil = unit service).
+// equations λ = a + λP are then solved exactly. The walk is exact and
+// repeated on every call (nothing is cached across calls), and its result
+// is deterministic bit for bit. svcMean optionally gives per-edge mean
+// service times (nil = unit service).
 func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMean []float64) (*Analysis, error) {
 	steppers, _, ok := routing.Steppers(router)
 	if !ok {
@@ -80,45 +82,88 @@ func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMea
 // route's first edge and the routing chain's transition probabilities are
 // flow-weighted over all (src, dst, choice) triples. It also returns the
 // demand's mean route length.
+//
+// The walk is table-driven: each edge's head node and its position among
+// its tail's out-edges are tabulated once, so a hop costs one NextEdge call
+// plus array updates. The flow from edge e into the next edge, which leaves
+// e's head at out-slot s, accumulates in flow[e*maxOut+s]. Every
+// accumulator receives its float additions in (src, dst, stepper, hop)
+// order, and Routes[e] lists e's transitions in ascending out-slot order of
+// its head, so the result is fully deterministic.
 func buildTraffic(net topology.Network, steppers []routing.Stepper, demand *Demand, sources []int) (*queueing.Traffic, float64) {
-	numEdges := net.NumEdges()
+	numEdges, numNodes := net.NumEdges(), net.NumNodes()
+	edgeTo := make([]int32, numEdges)
+	outSlot := make([]int32, numEdges)
+	// outStart/outEdge list each node's out-edges (CSR) in out-slot order.
+	outStart := make([]int32, numNodes+1)
+	for e := range numEdges {
+		edgeTo[e] = int32(net.EdgeTo(e))
+		from := net.EdgeFrom(e)
+		outSlot[e] = outStart[from+1]
+		outStart[from+1]++
+	}
+	maxOut := 0
+	for v := range numNodes {
+		maxOut = max(maxOut, int(outStart[v+1]))
+		outStart[v+1] += outStart[v]
+	}
+	outEdge := make([]int32, numEdges)
+	for e := range numEdges {
+		outEdge[outStart[net.EdgeFrom(e)]+outSlot[e]] = int32(e)
+	}
+
 	tr := queueing.NewTraffic(numEdges)
-	flow := make([]map[int]float64, numEdges)
+	flow := make([]float64, numEdges*maxOut)
 	through := make([]float64, numEdges)
 	totalHops := 0.0
 	for _, src := range sources {
-		for dst := 0; dst < net.NumNodes(); dst++ {
+		for dst := range numNodes {
 			p := demand.Prob(src, dst)
 			if p == 0 {
 				continue
 			}
 			w := p / float64(len(steppers))
 			for _, st := range steppers {
-				prev := -1
-				for cur := src; ; {
-					edge, done := st.NextEdge(cur, dst)
+				edge, done := st.NextEdge(src, dst)
+				if done {
+					continue
+				}
+				totalHops += w
+				through[edge] += w
+				tr.External[edge] += w
+				for {
+					next, done := st.NextEdge(int(edgeTo[edge]), dst)
 					if done {
 						break
 					}
 					totalHops += w
-					through[edge] += w
-					if prev == -1 {
-						tr.External[edge] += w
-					} else {
-						if flow[prev] == nil {
-							flow[prev] = make(map[int]float64)
-						}
-						flow[prev][edge] += w
-					}
-					prev = edge
-					cur = net.EdgeTo(edge)
+					through[next] += w
+					flow[edge*maxOut+int(outSlot[next])] += w
+					edge = next
 				}
 			}
 		}
 	}
-	for e, m := range flow {
-		for to, f := range m {
-			tr.Routes[e] = append(tr.Routes[e], queueing.Transition{To: to, Prob: f / through[e]})
+
+	// One backing array for every Routes[e]: count the transitions first.
+	n := 0
+	for _, f := range flow {
+		if f != 0 {
+			n++
+		}
+	}
+	trans := make([]queueing.Transition, 0, n)
+	for e := range numEdges {
+		head := edgeTo[e]
+		row := flow[e*maxOut:]
+		begin := len(trans)
+		for s, to := range outEdge[outStart[head]:outStart[head+1]] {
+			if f := row[s]; f != 0 {
+				trans = append(trans, queueing.Transition{To: int(to), Prob: f / through[e]})
+			}
+		}
+		if len(trans) > begin {
+			tr.Routes[e] = trans[begin:len(trans):len(trans)]
 		}
 	}
 	return tr, totalHops / float64(len(sources))

@@ -80,13 +80,10 @@ func ratesDigest(rates []float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestAnalyzeGolden pins Analyze's output Float64bits-exact across every
-// topology, the deterministic and randomized array routers, several
-// patterns, and both traffic-equation solvers (array(17) has 1088 edges,
-// past SolveDense's cutoff). Regenerate with:
-//
-//	WORKLOAD_GOLDEN_PRINT=1 go test ./internal/workload -run TestAnalyzeGolden -v
-func TestAnalyzeGolden(t *testing.T) {
+// goldenInputs spans every topology, the deterministic and randomized
+// array routers, several patterns, and both traffic-equation solvers
+// (array(17) has 1088 edges, past SolveDense's cutoff).
+func goldenInputs(t *testing.T) []analyzeCase {
 	array6 := TopologySpec{Kind: "array", N: 6}
 	var cases []analyzeCase
 	for _, pat := range []PatternSpec{{Kind: "uniform"}, {Kind: "hotspot"}, {Kind: "transpose"}} {
@@ -103,6 +100,14 @@ func TestAnalyzeGolden(t *testing.T) {
 		butterflyCase(3),
 		specCase(t, TopologySpec{Kind: "array", N: 17}, "greedy-xy", PatternSpec{Kind: "hotspot"}),
 	)
+	return cases
+}
+
+// TestAnalyzeGolden pins Analyze's output on goldenInputs Float64bits-exact.
+// Regenerate with:
+//
+//	WORKLOAD_GOLDEN_PRINT=1 go test ./internal/workload -run TestAnalyzeGolden -v
+func TestAnalyzeGolden(t *testing.T) {
 	golden := map[string]analyzeGolden{
 		"array2d(6)/uniform/greedy-xy":               {0x3fe5555555555547, 0x3ff8000000000010, 0x400f1c71c71c6df0, 62, "385731c1e0036440cae322a1bc506c742bb0a615c8f48eeca45bc0acc2f49c61"},
 		"array2d(6)/uniform/rand-greedy":             {0x3fe555555555553e, 0x3ff800000000001a, 0x400f1c71c71c6bf9, 102, "3c78fd6391fd497b140c75e1a0e3c0ecdfa9f8b9b76f7ebd298f22e20483050c"},
@@ -119,7 +124,7 @@ func TestAnalyzeGolden(t *testing.T) {
 		"array2d(17)/hotspot(k=1,w=0.20)/greedy-xy":  {0x3fa0bd0bd0bd0bc9, 0x403e9696969696a4, 0x402575757574d38e, 952, "23b237fce3867f5b11f6a646a504942626ce192cad7704e8246197063274e656"},
 	}
 	regen := os.Getenv("WORKLOAD_GOLDEN_PRINT") != ""
-	for _, c := range cases {
+	for _, c := range goldenInputs(t) {
 		an, err := Analyze(c.net, c.router, c.demand, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -144,5 +149,65 @@ func TestAnalyzeGolden(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: Analyze drifted\n got %+v\nwant %+v", c.name, got, want)
 		}
+	}
+}
+
+// checkConservation asserts the invariants of one analysis: the traffic
+// buildTraffic emits is a valid routing chain whose transitions out of each
+// edge are distinct edges leaving its head, its mean route length is the
+// Analysis's, and the solved rates conserve flow, Σ_e λ_e = n̄ · #sources
+// at per-node rate 1 (every hop of every route lands on exactly one edge).
+func checkConservation(tb testing.TB, net topology.Network, router routing.Router, demand *Demand, an *Analysis) {
+	tb.Helper()
+	steppers, _, ok := routing.Steppers(router)
+	if !ok {
+		tb.Fatalf("%s: router %T has no steppers", net.Name(), router)
+	}
+	sources := topology.Sources(net)
+	tr, meanHops := buildTraffic(net, steppers, demand, sources)
+	if err := tr.Validate(); err != nil {
+		tb.Fatalf("%s: built traffic invalid: %v", net.Name(), err)
+	}
+	if math.Float64bits(meanHops) != math.Float64bits(an.MeanHops) {
+		tb.Fatalf("%s: rebuilt mean hops %v != analysis %v", net.Name(), meanHops, an.MeanHops)
+	}
+	for e, routes := range tr.Routes {
+		seen := map[int]bool{}
+		for _, tn := range routes {
+			if seen[tn.To] {
+				tb.Fatalf("%s: edge %d lists transition to %d twice", net.Name(), e, tn.To)
+			}
+			seen[tn.To] = true
+			if net.EdgeFrom(tn.To) != net.EdgeTo(e) {
+				tb.Fatalf("%s: transition %d -> %d does not leave edge %d's head", net.Name(), e, tn.To, e)
+			}
+		}
+	}
+	sum := 0.0
+	for _, r := range an.EdgeRates {
+		sum += r
+	}
+	want := an.MeanHops * float64(len(sources))
+	if math.Abs(sum-want) > 1e-9*math.Abs(want) {
+		tb.Fatalf("%s: sum of edge rates %v != mean hops x sources %v", net.Name(), sum, want)
+	}
+}
+
+// TestAnalysisConservation checks checkConservation on every registry
+// scenario's topology, pattern and router, and on the golden inputs.
+func TestAnalysisConservation(t *testing.T) {
+	for _, s := range Registry() {
+		b, err := s.Bind()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		checkConservation(t, b.Net, b.Router, b.Demand, b.Analysis)
+	}
+	for _, c := range goldenInputs(t) {
+		an, err := Analyze(c.net, c.router, c.demand, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkConservation(t, c.net, c.router, c.demand, an)
 	}
 }

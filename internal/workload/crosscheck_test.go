@@ -20,6 +20,7 @@ func TestAnalysisMatchesCombinatorialRates(t *testing.T) {
 		router routing.Router
 	}{
 		{topology.NewArray2D(4), routing.GreedyXY{A: topology.NewArray2D(4)}},
+		{topology.NewArray2D(5), routing.GreedyXY{A: topology.NewArray2D(5)}},
 		{topology.NewTorus2D(5), routing.TorusGreedy{T: topology.NewTorus2D(5)}},
 	}
 	for _, c := range cases {

@@ -17,8 +17,21 @@ cd "$(dirname "$0")/.."
 
 tmp=$(mktemp -d)
 pids=()
+# start_server runs inside $(...), a subshell whose pids+= never reaches
+# this shell, so servers also record their pid in $tmp/server.pids.
 cleanup() {
-    for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
+    local servers=() p
+    [ -f "$tmp/server.pids" ] && mapfile -t servers < "$tmp/server.pids"
+    for p in "${pids[@]:-}" "${servers[@]:-}"; do
+        [ -n "$p" ] && kill "$p" 2>/dev/null || true
+    done
+    # Servers drain on SIGTERM and are not this shell's children (no
+    # wait): poll until they are gone, then force any straggler.
+    for p in "${servers[@]:-}"; do
+        [ -n "$p" ] || continue
+        for _ in $(seq 50); do kill -0 "$p" 2>/dev/null || break; sleep 0.1; done
+        kill -9 "$p" 2>/dev/null || true
+    done
     rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -45,7 +58,7 @@ start_server() { # dir logfile extra-args...
     local dir=$1 log=$2; shift 2
     "$tmp/sweepd" -addr 127.0.0.1:0 -dir "$dir" "$@" > "$log" 2>&1 &
     local pid=$!
-    pids+=("$pid")
+    echo "$pid" >> "$tmp/server.pids"
     for _ in $(seq 100); do
         grep -q 'listening on' "$log" && break
         kill -0 "$pid" 2>/dev/null || { echo "sweepd died:"; cat "$log"; exit 1; }
