@@ -162,9 +162,7 @@ func buildTraffic(net topology.Network, steppers []routing.Stepper, demand *Dema
 				trans = append(trans, queueing.Transition{To: int(to), Prob: f / through[e]})
 			}
 		}
-		if len(trans) > begin {
-			tr.Routes[e] = trans[begin:len(trans):len(trans)]
-		}
+		tr.Routes[e] = trans[begin:len(trans):len(trans)]
 	}
 	return tr, totalHops / float64(len(sources))
 }
