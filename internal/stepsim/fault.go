@@ -31,10 +31,11 @@ package stepsim
 // slot, so the pair identifies the service event regardless of tiling or
 // of how far the lookahead pipeline has let tiles skew.
 //
-// Fault mode disables the packed-coordinate fast path (routeTables.init):
-// position keys are then node ids, which the liar tables, the CSR recovery
-// scan and MisrouteEdge all index directly. Fault-enabled runs have no
-// goldens to preserve, so the switch costs nothing observable.
+// Fault mode disables the packed-coordinate fast path (Engine.reset
+// initializes its routing.Table with allowFast = false): position keys
+// are then node ids, which the liar tables, the CSR recovery scan and
+// MisrouteEdge all index directly. Fault-enabled runs have no goldens to
+// preserve, so the switch costs nothing observable.
 
 import (
 	"fmt"
@@ -328,14 +329,14 @@ func (s *Engine) fltAdvance(t *tile, edge int32, slot int, pos, key int32, choic
 			}
 		}
 	}
-	next := s.tab.nextEdge(pos, key, choice)
+	next := s.tab.Next(pos, key, choice)
 	if s.canUse(t, next) {
 		return next, false
 	}
 	// Greedy next hop is down: detour via any live out-edge that strictly
 	// reduces the remaining hop count (ascending edge ids, so the choice is
 	// a pure function of position, destination and the up/down state).
-	st := s.tab.steppers[choice]
+	st := s.tab.Steppers[choice]
 	rem := st.RemainingHops(int(pos), int(key))
 	lo, hi := p.OutStart[pos], p.OutStart[pos+1]
 	for _, e2 := range p.OutEdges[lo:hi] {

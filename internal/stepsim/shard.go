@@ -87,6 +87,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/xrand"
@@ -326,7 +327,7 @@ type Engine struct {
 	cfg      Config
 	shards   int
 	resumed  bool // cfg.Resume != nil: reset restored state, workers skip seeding
-	tab      routeTables
+	tab      routing.Table
 	rings    ringSet
 	poissonL float64
 
@@ -435,7 +436,9 @@ func (s *Engine) reset(cfg Config) error {
 	s.shards = shards
 	s.stopAt.Store(0)
 	s.poissonL = poissonExpOf(cfg.NodeRate)
-	s.tab.init(cfg, steppers, choose)
+	// Fault mode keys positions by node id: the liar tables, the CSR
+	// recovery scan and the misroute pick all index nodes directly.
+	s.tab.Init(cfg.Net, steppers, choose, cfg.Faults == nil)
 	s.rings.reset(cfg.Net.NumEdges())
 
 	ranges := topology.Partition(cfg.Net, shards)
@@ -509,12 +512,13 @@ func (s *Engine) reset(cfg Config) error {
 				s.nodeOwner[v] = int32(i)
 			}
 		}
-		if s.tab.fast {
+		if s.tab.Fast() {
 			// Row-band plans on the array fast path: position keys are
 			// packed (row, col), so ownership reduces to a row lookup.
-			s.rowOwner = grow(s.rowOwner, s.tab.n)
-			for r := 0; r < s.tab.n; r++ {
-				s.rowOwner[r] = s.nodeOwner[r*s.tab.n]
+			n := cfg.Net.(*topology.Array2D).N()
+			s.rowOwner = grow(s.rowOwner, n)
+			for r := 0; r < n; r++ {
+				s.rowOwner[r] = s.nodeOwner[r*n]
 			}
 		}
 		// One edge scan builds the sender adjacency (which tiles hand off
@@ -566,10 +570,11 @@ func (s *Engine) reset(cfg Config) error {
 			k = int(maxBD) + 1
 		}
 		s.lookahead, s.ringDepth = k, 2*k
-		if s.tab.fast {
-			s.boundaryRow = grow(s.boundaryRow, s.tab.n)
-			for r := 0; r < s.tab.n; r++ {
-				s.boundaryRow[r] = bd[r*s.tab.n] == 0
+		if s.tab.Fast() {
+			n := cfg.Net.(*topology.Array2D).N()
+			s.boundaryRow = grow(s.boundaryRow, n)
+			for r := 0; r < n; r++ {
+				s.boundaryRow[r] = bd[r*n] == 0
 			}
 		} else {
 			s.boundaryNode = grow(s.boundaryNode, numNodes)

@@ -76,7 +76,7 @@ func (s *Engine) capture() *Snapshot {
 	total := int64(cfg.WarmupSlots) + int64(cfg.Slots)
 	snap := &Snapshot{
 		NodeRate: cfg.NodeRate,
-		Fast:     s.tab.fast,
+		Fast:     s.tab.Fast(),
 		TopoName: cfg.Net.Name(),
 		NumNodes: cfg.Net.NumNodes(),
 		NumEdges: cfg.Net.NumEdges(),
@@ -136,8 +136,8 @@ func (s *Engine) restore(snap *Snapshot) error {
 		return fmt.Errorf("stepsim: snapshot of %s (%d nodes, %d edges) cannot resume on %s (%d nodes, %d edges)",
 			snap.TopoName, snap.NumNodes, snap.NumEdges, cfg.Net.Name(), cfg.Net.NumNodes(), cfg.Net.NumEdges())
 	}
-	if snap.Fast != s.tab.fast {
-		return fmt.Errorf("stepsim: snapshot key format (fast=%v) does not match the run's (fast=%v); destination keys are not translatable", snap.Fast, s.tab.fast)
+	if snap.Fast != s.tab.Fast() {
+		return fmt.Errorf("stepsim: snapshot key format (fast=%v) does not match the run's (fast=%v); destination keys are not translatable", snap.Fast, s.tab.Fast())
 	}
 	if len(snap.QueueLen) != snap.NumEdges {
 		return fmt.Errorf("stepsim: snapshot has %d queue lengths for %d edges", len(snap.QueueLen), snap.NumEdges)

@@ -49,7 +49,11 @@ package stepsim
 // BENCH.md's "Sparse engine" tables measured this body against the dense
 // one it replaced: never slower, 1.05–1.2× faster even at ρ=0.9.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/routing"
+)
 
 const (
 	// wheelSlots is the arrival timing wheel size (a power of two).
@@ -155,8 +159,8 @@ func (s *Engine) arrivals(t *tile, slot int, measuring bool, total int) {
 	mean := s.cfg.NodeRate
 	poissonL := s.poissonL
 	dest := s.cfg.Dest
-	choose := s.tab.choose
-	nodeKey := s.tab.nodeKey
+	choose := s.tab.Choose
+	nodeKey := s.tab.NodeKey
 	qsize := s.rings.qsize
 	flt := s.flt
 	idx := slot & wheelMask
@@ -213,7 +217,7 @@ func (s *Engine) arrivals(t *tile, slot int, measuring bool, total int) {
 			if measuring {
 				ent |= entMeasured
 			}
-			edge := s.tab.nextEdge(nodeKey[src], nodeKey[dst], choice)
+			edge := s.tab.Next(nodeKey[src], nodeKey[dst], choice)
 			if qsize[edge] == 0 {
 				t.act.add(edge)
 			}
@@ -255,8 +259,8 @@ func (s *Engine) service(t *tile, slot int, measuring bool, ring int) {
 		}
 	}
 	qbuf, qhead, qsize := s.rings.qbuf, s.rings.qhead, s.rings.qsize
-	edgeKey := s.tab.edgeKey
-	fast := s.tab.fast
+	edgeKey := s.tab.EdgeKey
+	fast := s.tab.Fast()
 	rowOwner, nodeOwner := s.rowOwner, s.nodeOwner
 	boundaryRow, boundaryNode := s.boundaryRow, s.boundaryNode
 	flt := s.flt
@@ -295,7 +299,7 @@ func (s *Engine) service(t *tile, slot int, measuring bool, ring int) {
 						d := int32((uint32(slot+1) - uint32(ent)) & entSlotMask)
 						t.addDelay(d)
 						if t.destCount != nil {
-							v := s.tab.nodeOf(key)
+							v := s.tab.NodeOf(key)
 							t.destCount[v]++
 							t.destDelay[v] += uint64(d)
 						}
@@ -311,15 +315,15 @@ func (s *Engine) service(t *tile, slot int, measuring bool, ring int) {
 						continue
 					}
 				} else {
-					next = s.tab.nextEdge(pos, key, choice)
+					next = s.tab.Next(pos, key, choice)
 				}
 				rec := movedRec{ent: ent, edge: next, src: edge}
 				if multi {
 					var owner int32
 					var bnd bool
 					if fast {
-						owner = rowOwner[pos>>coordBits]
-						bnd = boundaryRow[pos>>coordBits]
+						owner = rowOwner[pos>>routing.CoordBits]
+						bnd = boundaryRow[pos>>routing.CoordBits]
 					} else {
 						owner = nodeOwner[pos]
 						bnd = boundaryNode[pos]

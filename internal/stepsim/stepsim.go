@@ -26,15 +26,15 @@
 // slot (24 bits, modular), the stepper choice and the measured bit in the
 // low word:
 //
-//   - routing is implicit via routing.Stepper: the destination key plus the
-//     popped edge's endpoint determine the next edge, so routes are never
-//     materialized (the pre-rewrite pointer engine survives as the
-//     test-only oracle in oracle_test.go);
+//   - routing is implicit via routing.Table, the route-step table the
+//     event engine and the traffic analysis share: the destination key
+//     plus the popped edge's endpoint key determine the next edge, so
+//     routes are never materialized (the pre-rewrite pointer engine
+//     survives as the test-only oracle in oracle_test.go);
 //   - on 2-D arrays with greedy row/column routers (the paper's core
-//     model) the key packs the destination coordinates, precomputed
-//     endpoint/coordinate tables replace every division, and the next edge
-//     comes from the closed-form edge-id arithmetic — a few ALU ops per
-//     hop, no interface calls;
+//     model) the table's keys pack (row, col) coordinates, so no hop
+//     divides and the next edge comes from the closed-form edge-id
+//     arithmetic — a few ALU ops per hop, no interface calls;
 //   - per-edge FIFO queues are power-of-two ring slices carved from one
 //     slab — O(1) dequeue with a mask, no head-of-line memmove;
 //   - the three phases (arrivals, service, placement) are tight flat
@@ -242,17 +242,15 @@ type Result struct {
 // 2²⁴ (delays are computed with modular subtraction, so per-packet sojourn
 // times up to 2²⁴−1 slots are exact at any run length — far beyond any
 // stable configuration), stepper choice (7 bits) and the measured flag.
-// The high word is the destination key: the node id on the generic path,
-// or 13-bit packed (row, col) coordinates on the array fast path.
+// The high word is the destination key in routing.Table's format: the node
+// id on the generic path, or packed (row, col) coordinates on the array
+// fast path.
 const (
 	entSlotBits   = 24
 	entSlotMask   = 1<<entSlotBits - 1
 	entChoiceMask = 0x7f
 	entMeasured   = 1 << 31
 	entKeyShift   = 32
-
-	coordBits = 13 // fast path handles n up to 8191 per side
-	coordMask = 1<<coordBits - 1
 )
 
 // ringCap is each edge queue's initial ring capacity (a power of two).
@@ -303,126 +301,6 @@ func poissonExpOf(mean float64) float64 {
 		return math.Exp(-mean)
 	}
 	return 0
-}
-
-// routeTables is the per-run routing state: the resolved steppers, the key
-// tables, and the closed-form 2-D-array fast path. All methods are
-// read-only after init, so one routeTables value serves every tile of a
-// sharded run.
-type routeTables struct {
-	steppers []routing.Stepper
-	choose   func(*xrand.RNG) int
-
-	// fast selects the 2-D-array closed-form path; n/n1/h are its edge-id
-	// arithmetic constants and colFirstTab maps a stepper choice to
-	// column-first routing.
-	fast        bool
-	n, n1, h    int
-	colFirstTab [2]uint32
-
-	// edgeKey[e] identifies EdgeTo(e): packed coordinates (fast) or the
-	// node id (generic). nodeKey[v] is the per-node key in the same format.
-	edgeKey []int32
-	nodeKey []int32
-}
-
-// init refills the tables for cfg, reusing prior capacity.
-func (t *routeTables) init(cfg Config, steppers []routing.Stepper, choose func(*xrand.RNG) int) {
-	t.steppers, t.choose = steppers, choose
-	t.setupFastPath(cfg.Net)
-	if cfg.Faults != nil {
-		// Fault mode keys positions by node id: the liar tables, the CSR
-		// recovery scan and the misroute pick all index nodes directly.
-		// Fault-enabled runs have no fast-path goldens, so nothing
-		// observable depends on this switch.
-		t.fast = false
-	}
-	numNodes, numEdges := cfg.Net.NumNodes(), cfg.Net.NumEdges()
-	t.edgeKey = grow(t.edgeKey, numEdges)
-	t.nodeKey = grow(t.nodeKey, numNodes)
-	if t.fast {
-		a := cfg.Net.(*topology.Array2D)
-		for v := 0; v < numNodes; v++ {
-			r, c := a.Coords(v)
-			t.nodeKey[v] = int32(r<<coordBits | c)
-		}
-	} else {
-		for v := 0; v < numNodes; v++ {
-			t.nodeKey[v] = int32(v)
-		}
-	}
-	for ed := 0; ed < numEdges; ed++ {
-		t.edgeKey[ed] = t.nodeKey[cfg.Net.EdgeTo(ed)]
-	}
-}
-
-// setupFastPath enables the closed-form array path when the topology is a
-// 2-D array small enough for packed coordinates and every stepper is a
-// greedy row/column router on that same array.
-func (t *routeTables) setupFastPath(net topology.Network) {
-	t.fast = false
-	a, isArray := net.(*topology.Array2D)
-	if !isArray || a.N() > coordMask || len(t.steppers) > 2 {
-		return
-	}
-	for i, st := range t.steppers {
-		switch g := st.(type) {
-		case routing.GreedyXY:
-			if g.A != a {
-				return
-			}
-			t.colFirstTab[i] = 0
-		case routing.GreedyYX:
-			if g.A != a {
-				return
-			}
-			t.colFirstTab[i] = 1
-		default:
-			return
-		}
-	}
-	t.fast = true
-	t.n = a.N()
-	t.n1 = t.n - 1
-	t.h = t.n * t.n1
-}
-
-// nextArrayEdge is the closed-form greedy step on the n×n array: from
-// packed position pos toward packed destination key, taking row edges
-// before column edges unless colFirst. The caller guarantees pos != key.
-func (t *routeTables) nextArrayEdge(pos, key int32, colFirst uint32) int32 {
-	r, c := int(pos>>coordBits), int(pos&coordMask)
-	dr, dc := int(key>>coordBits), int(key&coordMask)
-	if c != dc && (colFirst == 0 || r == dr) {
-		if c < dc {
-			return int32(r*t.n1 + c) // Right
-		}
-		return int32(t.h + r*t.n1 + c - 1) // Left
-	}
-	if r < dr {
-		return int32(2*t.h + c*t.n1 + r) // Down
-	}
-	return int32(3*t.h + c*t.n1 + r - 1) // Up
-}
-
-// nodeOf decodes a position/destination key back to its node id: packed
-// (row, col) coordinates on the fast path, the id itself otherwise. Used
-// by the per-destination delivery accumulators.
-func (t *routeTables) nodeOf(key int32) int32 {
-	if t.fast {
-		return (key>>coordBits)*int32(t.n) + (key & coordMask)
-	}
-	return key
-}
-
-// nextEdge returns the next edge for a packet at position pos (in key
-// format) heading for key, on either path.
-func (t *routeTables) nextEdge(pos, key int32, choice uint32) int32 {
-	if t.fast {
-		return t.nextArrayEdge(pos, key, t.colFirstTab[choice])
-	}
-	edge, _ := t.steppers[choice].NextEdge(int(pos), int(key))
-	return int32(edge)
 }
 
 // ringSet is the per-edge FIFO queue state: qbuf[e] is a power-of-two
