@@ -78,8 +78,16 @@ func (t *Torus2D) EdgeTo(e int) int {
 }
 
 // WrapDist returns the directed ring distances (going "plus", i.e. right or
-// down, and going "minus") from a to b on a ring of size n.
+// down, and going "minus") from a to b on a ring of size n; a and b are
+// ring positions in [0, n). It runs once or twice per torus routing step,
+// so it compares instead of dividing.
 func WrapDist(a, b, n int) (plus, minus int) {
-	plus = ((b-a)%n + n) % n
-	return plus, (n - plus) % n
+	plus = b - a
+	if plus < 0 {
+		plus += n
+	}
+	if plus == 0 {
+		return 0, 0
+	}
+	return plus, n - plus
 }
