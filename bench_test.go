@@ -128,20 +128,28 @@ func BenchmarkScenarioSweep(b *testing.B) {
 // walked hop by hop, then λ = a + λP solved). array32-uniform is the
 // 32×32 ladder the event-engine benchmark workload binds; array8-uniform
 // is the size of one sweep-service job, bound on every submit.
+// array32-randgreedy walks the route table's closed-form path with two
+// steppers; torus32-uniform walks its generic Stepper fallback.
 func BenchmarkBind(b *testing.B) {
+	ladder := []float64{0.3, 0.6, 0.8, 0.9}
 	cases := []struct {
-		name  string
-		n     int
-		loads []float64
+		name   string
+		kind   string
+		n      int
+		router string
+		loads  []float64
 	}{
-		{"array32-uniform", 32, []float64{0.3, 0.6, 0.8, 0.9}},
-		{"array8-uniform", 8, []float64{0.3, 0.6, 0.8}},
+		{"array32-uniform", "array", 32, "", ladder},
+		{"array8-uniform", "array", 8, "", []float64{0.3, 0.6, 0.8}},
+		{"array32-randgreedy", "array", 32, "rand-greedy", ladder},
+		{"torus32-uniform", "torus", 32, "", ladder},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			s := workload.Scenario{
 				Name:     c.name,
-				Topology: workload.TopologySpec{Kind: "array", N: c.n},
+				Topology: workload.TopologySpec{Kind: c.kind, N: c.n},
+				Router:   c.router,
 				Pattern:  workload.PatternSpec{Kind: "uniform"},
 				Loads:    c.loads,
 			}
@@ -547,6 +555,30 @@ func BenchmarkStepperRoute(b *testing.B) {
 				break
 			}
 			cur = a.EdgeTo(e)
+			hops++
+		}
+	}
+	_ = hops
+}
+
+// BenchmarkRouteTable is BenchmarkStepperRoute through routing.Table, the
+// route-step table every hop walker uses: keys instead of node ids, and on
+// the 2-D array the closed-form step instead of an interface call.
+func BenchmarkRouteTable(b *testing.B) {
+	a := topology.NewArray2D(32)
+	var tab routing.Table
+	tab.Init(a, []routing.Stepper{routing.GreedyXY{A: a}}, nil, true)
+	rng := xrand.New(1)
+	hops := 0
+	for i := 0; i < b.N; i++ {
+		pos := tab.NodeKey[rng.Intn(a.NumNodes())]
+		dst := tab.NodeKey[rng.Intn(a.NumNodes())]
+		for {
+			e, done := tab.Next(pos, dst, 0)
+			if done {
+				break
+			}
+			pos = tab.EdgeKey[e]
 			hops++
 		}
 	}

@@ -103,19 +103,23 @@ func fastArray(net topology.Network, steppers []Stepper) (colFirst [2]uint32, ok
 // Fast reports whether keys are packed array coordinates.
 func (t *Table) Fast() bool { return t.fast }
 
-// Next returns the edge a packet at key pos takes toward key dst under
-// stepper choice. The caller guarantees pos != dst: keys are unique per
-// node, so pos == dst is exactly the delivered test.
-func (t *Table) Next(pos, dst int32, choice uint32) int32 {
+// Next is Stepper.NextEdge in key form: the edge a packet at key pos takes
+// toward key dst under stepper choice, or done = true when the route has
+// ended (pos == dst on the array path).
+func (t *Table) Next(pos, dst int32, choice uint32) (edge int32, done bool) {
 	if t.fast {
-		return t.nextArray(pos, dst, t.colFirst[choice])
+		if pos == dst {
+			return 0, true
+		}
+		return t.nextArray(pos, dst, t.colFirst[choice]), false
 	}
-	edge, _ := t.Steppers[choice].NextEdge(int(pos), int(dst))
-	return int32(edge)
+	e, done := t.Steppers[choice].NextEdge(int(pos), int(dst))
+	return int32(e), done
 }
 
 // nextArray is the closed-form greedy step on the n×n array (edge ids as
 // in topology.Array2D): row edges before column edges unless colFirst.
+// The caller guarantees pos != dst.
 func (t *Table) nextArray(pos, dst int32, colFirst uint32) int32 {
 	r, c := pos>>CoordBits, pos&MaxPackedSide
 	dr, dc := dst>>CoordBits, dst&MaxPackedSide
@@ -129,6 +133,57 @@ func (t *Table) nextArray(pos, dst int32, colFirst uint32) int32 {
 		return 2*t.h + c*t.n1 + r // Down
 	}
 	return 3*t.h + c*t.n1 + r - 1 // Up
+}
+
+// AppendPath appends the whole route from key pos to key dst under stepper
+// choice to buf: the edges Next would return one by one, in order. Walkers
+// that need every hop of a route (the traffic analysis) use it. On the
+// array path a greedy route is two straight runs of consecutive edge ids,
+// so it is generated arithmetically, with no per-hop table read.
+func (t *Table) AppendPath(buf []int32, pos, dst int32, choice uint32) []int32 {
+	if t.fast {
+		r, c := pos>>CoordBits, pos&MaxPackedSide
+		dr, dc := dst>>CoordBits, dst&MaxPackedSide
+		if t.colFirst[choice] != 0 {
+			buf = t.appendColumn(buf, c, r, dr)
+			return t.appendRow(buf, dr, c, dc)
+		}
+		buf = t.appendRow(buf, r, c, dc)
+		return t.appendColumn(buf, dc, r, dr)
+	}
+	st, edgeKey, d := t.Steppers[choice], t.EdgeKey, int(dst)
+	for cur := int(pos); ; {
+		e, done := st.NextEdge(cur, d)
+		if done {
+			return buf
+		}
+		buf = append(buf, int32(e))
+		cur = int(edgeKey[e])
+	}
+}
+
+// appendRow appends the row-r edges from column c to column dc.
+func (t *Table) appendRow(buf []int32, r, c, dc int32) []int32 {
+	base := r * t.n1
+	for ; c < dc; c++ {
+		buf = append(buf, base+c) // Right
+	}
+	for ; c > dc; c-- {
+		buf = append(buf, t.h+base+c-1) // Left
+	}
+	return buf
+}
+
+// appendColumn appends the column-c edges from row r to row dr.
+func (t *Table) appendColumn(buf []int32, c, r, dr int32) []int32 {
+	base := c * t.n1
+	for ; r < dr; r++ {
+		buf = append(buf, 2*t.h+base+r) // Down
+	}
+	for ; r > dr; r-- {
+		buf = append(buf, 3*t.h+base+r-1) // Up
+	}
+	return buf
 }
 
 // Hops returns the number of edges left on the route from key pos to key

@@ -329,7 +329,7 @@ func (s *Engine) fltAdvance(t *tile, edge int32, slot int, pos, key int32, choic
 			}
 		}
 	}
-	next := s.tab.Next(pos, key, choice)
+	next, _ := s.tab.Next(pos, key, choice)
 	if s.canUse(t, next) {
 		return next, false
 	}

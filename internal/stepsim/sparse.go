@@ -217,7 +217,7 @@ func (s *Engine) arrivals(t *tile, slot int, measuring bool, total int) {
 			if measuring {
 				ent |= entMeasured
 			}
-			edge := s.tab.Next(nodeKey[src], nodeKey[dst], choice)
+			edge, _ := s.tab.Next(nodeKey[src], nodeKey[dst], choice)
 			if qsize[edge] == 0 {
 				t.act.add(edge)
 			}
@@ -315,7 +315,7 @@ func (s *Engine) service(t *tile, slot int, measuring bool, ring int) {
 						continue
 					}
 				} else {
-					next = s.tab.Next(pos, key, choice)
+					next, _ = s.tab.Next(pos, key, choice)
 				}
 				rec := movedRec{ent: ent, edge: next, src: edge}
 				if multi {

@@ -43,7 +43,7 @@ type Analysis struct {
 // is deterministic bit for bit. svcMean optionally gives per-edge mean
 // service times (nil = unit service).
 func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMean []float64) (*Analysis, error) {
-	steppers, _, ok := routing.Steppers(router)
+	steppers, choose, ok := routing.Steppers(router)
 	if !ok {
 		return nil, fmt.Errorf("workload: router %T exposes no steppers; cannot analyze exactly", router)
 	}
@@ -51,7 +51,9 @@ func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMea
 		return nil, fmt.Errorf("workload: svcMean has %d entries, want %d", len(svcMean), net.NumEdges())
 	}
 	sources := topology.Sources(net)
-	tr, meanHops := buildTraffic(net, steppers, demand, sources)
+	var tab routing.Table
+	tab.Init(net, steppers, choose, true)
+	tr, meanHops := buildTraffic(net, &tab, demand, sources)
 	lambda, err := solveTraffic(tr)
 	if err != nil {
 		return nil, err
@@ -83,14 +85,18 @@ func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMea
 // flow-weighted over all (src, dst, choice) triples. It also returns the
 // demand's mean route length.
 //
-// The walk is table-driven: each edge's head node and its position among
-// its tail's out-edges are tabulated once, so a hop costs one NextEdge call
-// plus array updates. The flow from edge e into the next edge, which leaves
-// e's head at out-slot s, accumulates in flow[e*maxOut+s]. Every
-// accumulator receives its float additions in (src, dst, stepper, hop)
-// order, and Routes[e] lists e's transitions in ascending out-slot order of
-// its head, so the result is fully deterministic.
-func buildTraffic(net topology.Network, steppers []routing.Stepper, demand *Demand, sources []int) (*queueing.Traffic, float64) {
+// The walk is table-driven. Routes come from tab, the route-step table the
+// simulation engines share, one whole path per (src, dst, stepper) into a
+// scratch buffer: on 2-D arrays with greedy routers a path is two runs of
+// consecutive edge ids computed from packed coordinates, with no interface
+// call, division or per-hop table read; elsewhere it is the stepper's
+// NextEdge walk. Each edge's position among its tail's out-edges is
+// tabulated once; the flow from edge e into the next edge, which leaves
+// e's head at out-slot s, accumulates in flow[e*maxOut+s].
+// Every accumulator receives its float additions in (src, dst, stepper,
+// hop) order, and Routes[e] lists e's transitions in ascending out-slot
+// order of its head, so the result is fully deterministic.
+func buildTraffic(net topology.Network, tab *routing.Table, demand *Demand, sources []int) (*queueing.Traffic, float64) {
 	numEdges, numNodes := net.NumEdges(), net.NumNodes()
 	edgeTo := make([]int32, numEdges)
 	outSlot := make([]int32, numEdges)
@@ -115,30 +121,31 @@ func buildTraffic(net topology.Network, steppers []routing.Stepper, demand *Dema
 	tr := queueing.NewTraffic(numEdges)
 	flow := make([]float64, numEdges*maxOut)
 	through := make([]float64, numEdges)
+	path := make([]int32, 0, 64)
+	numChoices := len(tab.Steppers)
 	totalHops := 0.0
 	for _, src := range sources {
+		pos := tab.NodeKey[src]
 		for dst := range numNodes {
 			p := demand.Prob(src, dst)
 			if p == 0 {
 				continue
 			}
-			w := p / float64(len(steppers))
-			for _, st := range steppers {
-				edge, done := st.NextEdge(src, dst)
-				if done {
+			key := tab.NodeKey[dst]
+			w := p / float64(numChoices)
+			for choice := range uint32(numChoices) {
+				path = tab.AppendPath(path[:0], pos, key, choice)
+				if len(path) == 0 {
 					continue
 				}
+				edge := path[0]
 				totalHops += w
 				through[edge] += w
 				tr.External[edge] += w
-				for {
-					next, done := st.NextEdge(int(edgeTo[edge]), dst)
-					if done {
-						break
-					}
+				for _, next := range path[1:] {
 					totalHops += w
 					through[next] += w
-					flow[edge*maxOut+int(outSlot[next])] += w
+					flow[int(edge)*maxOut+int(outSlot[next])] += w
 					edge = next
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/routing"
@@ -157,14 +158,23 @@ func TestAnalyzeGolden(t *testing.T) {
 // edge are distinct edges leaving its head, its mean route length is the
 // Analysis's, and the solved rates conserve flow, Σ_e λ_e = n̄ · #sources
 // at per-node rate 1 (every hop of every route lands on exactly one edge).
+// It also rebuilds the traffic on the route table's generic stepper path
+// and requires the same bits as the default (possibly closed-form) walk.
 func checkConservation(tb testing.TB, net topology.Network, router routing.Router, demand *Demand, an *Analysis) {
 	tb.Helper()
-	steppers, _, ok := routing.Steppers(router)
+	steppers, choose, ok := routing.Steppers(router)
 	if !ok {
 		tb.Fatalf("%s: router %T has no steppers", net.Name(), router)
 	}
 	sources := topology.Sources(net)
-	tr, meanHops := buildTraffic(net, steppers, demand, sources)
+	var tab, generic routing.Table
+	tab.Init(net, steppers, choose, true)
+	generic.Init(net, steppers, choose, false)
+	tr, meanHops := buildTraffic(net, &tab, demand, sources)
+	trGeneric, meanHopsGeneric := buildTraffic(net, &generic, demand, sources)
+	if math.Float64bits(meanHops) != math.Float64bits(meanHopsGeneric) || !reflect.DeepEqual(tr, trGeneric) {
+		tb.Fatalf("%s: closed-form and generic route walks built different traffic", net.Name())
+	}
 	if err := tr.Validate(); err != nil {
 		tb.Fatalf("%s: built traffic invalid: %v", net.Name(), err)
 	}
