@@ -65,7 +65,7 @@ func (c *Config) checkStability(arrivals ArrivalProcess) error {
 	if !ok {
 		return nil
 	}
-	steppers, _, ok := routing.Steppers(c.Router)
+	steppers, choose, ok := routing.Steppers(c.Router)
 	if !ok {
 		return nil
 	}
@@ -74,7 +74,9 @@ func (c *Config) checkStability(arrivals ArrivalProcess) error {
 	if perNode == 0 {
 		return nil
 	}
-	rates := impliedEdgeRates(c.Net, steppers, dist, sources, perNode)
+	var tab routing.Table
+	tab.Init(c.Net, steppers, choose, true)
+	rates := impliedEdgeRates(c.Net, &tab, dist, sources, perNode)
 	for e, rate := range rates {
 		svc := 1.0
 		if c.ServiceTime != nil {
@@ -90,25 +92,27 @@ func (c *Config) checkStability(arrivals ArrivalProcess) error {
 }
 
 // impliedEdgeRates walks every (source, destination) pair through the
-// router's steppers and accumulates λ_e = Σ perNode·P[dst|src] over the
+// route-step table and accumulates λ_e = Σ perNode·P[dst|src] over the
 // edges of each route, averaging uniformly over stepper choices.
-func impliedEdgeRates(net topology.Network, steppers []routing.Stepper, dist DemandDist, sources []int, perNode float64) []float64 {
+func impliedEdgeRates(net topology.Network, tab *routing.Table, dist DemandDist, sources []int, perNode float64) []float64 {
 	rates := make([]float64, net.NumEdges())
+	numChoices := len(tab.Steppers)
 	for _, src := range sources {
 		for dst := 0; dst < net.NumNodes(); dst++ {
 			p := dist.Prob(src, dst)
 			if p == 0 {
 				continue
 			}
-			w := perNode * p / float64(len(steppers))
-			for _, st := range steppers {
-				for cur := src; cur != dst; {
-					edge, done := st.NextEdge(cur, dst)
+			w := perNode * p / float64(numChoices)
+			key := tab.NodeKey[dst]
+			for choice := range uint32(numChoices) {
+				for pos := tab.NodeKey[src]; pos != key; {
+					edge, done := tab.Next(pos, key, choice)
 					if done {
 						break
 					}
 					rates[edge] += w
-					cur = net.EdgeTo(edge)
+					pos = tab.EdgeKey[edge]
 				}
 			}
 		}

@@ -407,13 +407,12 @@ func (e *engine) settleR(t float64, p *packet) {
 // its head. The greedy forward never calls this — its new charge is the
 // old one minus the completed service, handled inline in departFIFOFault.
 func (e *engine) repriceR(t float64, p *packet, e2 int) {
-	st := e.steppers[p.choice]
-	head := int(e.edgeTo[e2])
-	rem := int32(1 + st.RemainingHops(head, int(p.dst)))
+	head, key, choice := e.tab.EdgeKey[e2], e.tab.NodeKey[p.dst], uint32(p.choice)
+	rem := int32(1 + e.tab.Hops(head, key, choice))
 	e.rNow += float64(rem - p.rem)
 	p.rem = rem
 	if e.cfg.Saturated != nil {
-		rs := int32(e.countSaturatedWalk(st, head, int(p.dst)))
+		rs := int32(e.countSaturatedWalk(head, key, choice))
 		if e.cfg.Saturated[e2] {
 			rs++
 		}
@@ -495,9 +494,9 @@ func (e *engine) departFIFOFault(t float64, edge int) {
 			}
 		}
 	}
-	st := e.steppers[p.choice]
-	next, _ := st.NextEdge(int(pos), int(p.dst))
-	if f.usable(int32(next), t) {
+	key, choice := e.tab.NodeKey[p.dst], uint32(p.choice)
+	next, _ := e.tab.Next(e.tab.NodeKey[pos], key, choice)
+	if f.usable(next, t) {
 		// Greedy forward: the completed service is paid down and the rest
 		// of the charge carries over, exactly departFIFO's accounting.
 		p.rem--
@@ -512,19 +511,19 @@ func (e *engine) departFIFOFault(t float64, edge int) {
 				e.rsInt.Set(t, e.rsNow)
 			}
 		}
-		e.enqueueFault(t, finished, next)
+		e.enqueueFault(t, finished, int(next))
 		return
 	}
 	// Greedy next hop is down: detour via any live out-edge that strictly
 	// reduces the remaining hop count (ascending edge ids, so the choice
 	// is a pure function of position, destination and the up/down state).
-	rem := st.RemainingHops(int(pos), int(p.dst))
+	rem := e.tab.Hops(e.tab.NodeKey[pos], key, choice)
 	lo, hi := pl.OutStart[pos], pl.OutStart[pos+1]
 	for _, e2 := range pl.OutEdges[lo:hi] {
-		if int(e2) == next || !f.usable(e2, t) {
+		if e2 == next || !f.usable(e2, t) {
 			continue
 		}
-		if st.RemainingHops(int(pl.To[e2]), int(p.dst)) < rem {
+		if e.tab.Hops(e.tab.NodeKey[pl.To[e2]], key, choice) < rem {
 			if m {
 				f.detourHops++
 			}

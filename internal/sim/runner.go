@@ -13,8 +13,8 @@ import (
 
 // Runner executes simulation runs while reusing the engine's allocation-
 // heavy state between them: the RNG, the event tree, the station arrays and
-// their ring slab, the packet arena, and every per-edge lookup and counter
-// table. A fresh Run performs ~34 setup allocations; a Runner's subsequent
+// their ring slab, the packet arena, the route-step table, and every
+// per-edge lookup and counter table. A fresh Run performs ~34 setup allocations; a Runner's subsequent
 // runs of the same network shape perform almost none, so a sweep that gives
 // each worker one Runner (StreamSweep does) amortizes per-run setup to ~0.
 //
@@ -34,6 +34,7 @@ type Runner struct {
 	ps        []des.PSStation[int32]
 	prio      []des.PriorityStation[int32]
 	arena     arena
+	tab       routing.Table
 	batches   *stats.BatchMeans
 	sources   []int
 	edgeTo    []int32
@@ -165,10 +166,15 @@ func (r *Runner) prepare(cfg Config, arrivals ArrivalProcess) *engine {
 		e.tree = des.NewEventTree(slots)
 	}
 	if !cfg.MaterializeRoutes {
-		e.steppers, e.choose, _ = routing.Steppers(cfg.Router)
+		if steppers, choose, ok := routing.Steppers(cfg.Router); ok {
+			// Fault mode keeps node-id keys, as the slotted engine's
+			// does: the fault plan's tables index nodes directly.
+			r.tab.Init(cfg.Net, steppers, choose, cfg.Faults == nil)
+			e.tab = &r.tab
+		}
 	}
 	e.arena = r.arena
-	if e.steppers != nil {
+	if e.tab != nil {
 		e.arena.reset(false)
 		e.edgeTo = growI32(r.edgeTo, numEdges)
 		for ed := 0; ed < numEdges; ed++ {
@@ -177,7 +183,7 @@ func (r *Runner) prepare(cfg Config, arrivals ArrivalProcess) *engine {
 	} else {
 		e.arena.reset(true)
 	}
-	e.fastFIFO = cfg.Discipline == FIFO && e.steppers != nil
+	e.fastFIFO = cfg.Discipline == FIFO && e.tab != nil
 	e.totalRate = cfg.NodeRate * float64(len(e.sources))
 	if e.arrivals != nil {
 		// Batch sizing and rate bookkeeping use the process's mean rate;

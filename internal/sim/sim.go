@@ -340,9 +340,10 @@ type engine struct {
 	// Poisson / slotted / per-node paths).
 	arrivals ArrivalProcess
 
-	// routing plane: steppers is nil on the legacy AppendRoute path.
-	steppers []routing.Stepper
-	choose   func(*xrand.RNG) int
+	// routing plane: tab (the Runner's route-step table) is nil on the
+	// legacy AppendRoute path. Packets carry node ids; each hop converts
+	// them to table keys through tab.NodeKey / tab.EdgeKey.
+	tab      *routing.Table
 	edgeTo   []int32
 	fastFIFO bool // FIFO discipline + stepper routing: use departFIFO
 
@@ -561,14 +562,13 @@ func (e *engine) generate(t float64, src int) {
 	if e.measuring {
 		e.generated++
 	}
-	if e.steppers != nil {
+	if e.tab != nil {
 		choice := 0
-		if e.choose != nil {
+		if e.tab.Choose != nil {
 			// The randomized router's coin, resolved at generation time;
 			// consumes the same variate AppendRoute would.
-			choice = e.choose(e.rng)
+			choice = e.tab.Choose(e.rng)
 		}
-		st := e.steppers[choice]
 		if e.flt != nil && !e.flt.nodeUp(int32(src), t) {
 			// Down source: the packet is offered but immediately lost —
 			// checked after the destination and coin draws so the variate
@@ -579,7 +579,8 @@ func (e *engine) generate(t float64, src int) {
 			}
 			return
 		}
-		rem := st.RemainingHops(src, dst)
+		pos, key := e.tab.NodeKey[src], e.tab.NodeKey[dst]
+		rem := e.tab.Hops(pos, key, uint32(choice))
 		if rem == 0 {
 			// Source equals destination: delivered instantly with zero
 			// delay, never entering any queue (the paper allows these).
@@ -601,7 +602,7 @@ func (e *engine) generate(t float64, src int) {
 			p.rem = int32(rem)
 		}
 		if e.cfg.Saturated != nil {
-			rs := e.countSaturatedWalk(st, src, dst)
+			rs := e.countSaturatedWalk(pos, key, uint32(choice))
 			e.rsNow += float64(rs)
 			if e.flt != nil {
 				p.rs = int32(rs)
@@ -642,19 +643,19 @@ func (e *engine) generate(t float64, src int) {
 	e.enqueue(t, h, p)
 }
 
-// countSaturatedWalk counts saturated edges on the stepper route src→dst.
-func (e *engine) countSaturatedWalk(st routing.Stepper, src, dst int) int {
+// countSaturatedWalk counts saturated edges on the route from key pos to
+// key dst under stepper choice.
+func (e *engine) countSaturatedWalk(pos, dst int32, choice uint32) int {
 	count := 0
-	cur := src
 	for {
-		edge, done := st.NextEdge(cur, dst)
+		edge, done := e.tab.Next(pos, dst, choice)
 		if done {
 			return count
 		}
 		if e.cfg.Saturated[edge] {
 			count++
 		}
-		cur = int(e.edgeTo[edge])
+		pos = e.tab.EdgeKey[edge]
 	}
 }
 
@@ -679,9 +680,9 @@ func (e *engine) serviceTime(edge int) float64 {
 
 // nextEdge returns the edge p enters next.
 func (e *engine) nextEdge(h int32, p *packet) int {
-	if e.steppers != nil {
-		edge, _ := e.steppers[p.choice].NextEdge(int(p.cur), int(p.dst))
-		return edge
+	if e.tab != nil {
+		edge, _ := e.tab.Next(e.tab.NodeKey[p.cur], e.tab.NodeKey[p.dst], uint32(p.choice))
+		return int(edge)
 	}
 	return e.arena.route(h)[p.hop]
 }
@@ -689,8 +690,8 @@ func (e *engine) nextEdge(h int32, p *packet) int {
 // remainingHops returns the hop count left for p, counting the hop p is
 // currently queued for (or about to be).
 func (e *engine) remainingHops(h int32, p *packet) int {
-	if e.steppers != nil {
-		return e.steppers[p.choice].RemainingHops(int(p.cur), int(p.dst))
+	if e.tab != nil {
+		return e.tab.Hops(e.tab.NodeKey[p.cur], e.tab.NodeKey[p.dst], uint32(p.choice))
 	}
 	return len(e.arena.route(h)) - int(p.hop)
 }
@@ -777,7 +778,8 @@ func (e *engine) departFIFO(t float64, edge int) {
 		e.arena.release(finished)
 		return
 	}
-	next, _ := e.steppers[p.choice].NextEdge(int(p.cur), int(p.dst))
+	step, _ := e.tab.Next(e.tab.EdgeKey[edge], e.tab.NodeKey[p.dst], uint32(p.choice))
+	next := int(step)
 	if e.measuring {
 		e.edgeCount[next]++
 	}
@@ -830,7 +832,7 @@ func (e *engine) advance(t float64, h int32, edge int) {
 		e.rsNow--
 	}
 	var done bool
-	if e.steppers != nil {
+	if e.tab != nil {
 		p.cur = e.edgeTo[edge]
 		done = p.cur == p.dst
 	} else {

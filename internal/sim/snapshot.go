@@ -205,7 +205,7 @@ func (e *engine) restoreSnapshot(sn *Snapshot) error {
 		for i := int32(0); i < sn.QueueLen[ed]; i++ {
 			cur, dst, choice := sn.PktCur[k], sn.PktDst[k], sn.PktChoice[k]
 			k++
-			if int(choice) >= len(e.steppers) {
+			if int(choice) >= len(e.tab.Steppers) {
 				return fmt.Errorf("sim: snapshot packet stepper choice %d out of range", choice)
 			}
 			if cur < 0 || int(cur) >= sn.NumNodes || dst < 0 || int(dst) >= sn.NumNodes {
@@ -219,10 +219,10 @@ func (e *engine) restoreSnapshot(sn *Snapshot) error {
 			p.measured = false
 			e.fifo[ed].Arrive(h)
 			e.nNow++
-			st := e.steppers[choice]
-			e.rNow += float64(st.RemainingHops(int(cur), int(dst)))
+			pos, key := e.tab.NodeKey[cur], e.tab.NodeKey[dst]
+			e.rNow += float64(e.tab.Hops(pos, key, uint32(choice)))
 			if cfg.Saturated != nil {
-				e.rsNow += float64(e.countSaturatedWalk(st, int(cur), int(dst)))
+				e.rsNow += float64(e.countSaturatedWalk(pos, key, uint32(choice)))
 			}
 		}
 	}

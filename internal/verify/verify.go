@@ -170,7 +170,8 @@ func Detect(cfg Config) (*Report, error) {
 	if !ok || choose != nil || len(steppers) != 1 {
 		return nil, fmt.Errorf("verify: detection needs a single deterministic stepper router (e.g. greedy-xy); %T is not one", cfg.Router)
 	}
-	st := steppers[0]
+	var tab routing.Table
+	tab.Init(cfg.Net, steppers, nil, true)
 	if cfg.Plan == nil {
 		return nil, fmt.Errorf("verify: Plan is required (bind the fault spec against Net)")
 	}
@@ -243,7 +244,7 @@ func Detect(cfg Config) (*Report, error) {
 			if d == s {
 				continue
 			}
-			hops := st.RemainingHops(s, d)
+			hops := tab.Hops(tab.NodeKey[s], tab.NodeKey[d], 0)
 			if hops < 2 {
 				continue // no intermediates: nothing to localize
 			}
@@ -266,7 +267,7 @@ func Detect(cfg Config) (*Report, error) {
 				continue
 			}
 			rep.PathsJudged++
-			inter = intermediates(st, cfg.Net, s, d, inter[:0])
+			inter = intermediates(&tab, s, d, inter[:0])
 			if bad {
 				rep.BadPaths = append(rep.BadPaths, Path{
 					Src: s, Dst: d, Hops: hops, Samples: count,
@@ -343,16 +344,16 @@ func subsetInts(a, b []int) bool {
 // intermediates appends the nodes strictly between src and dst on the
 // stepper path (endpoints excluded: a liar damages only packets it
 // forwards, so a path's endpoints are never evidence about themselves).
-func intermediates(st routing.Stepper, net topology.Network, src, dst int, buf []int32) []int32 {
-	cur := src
+func intermediates(tab *routing.Table, src, dst int, buf []int32) []int32 {
+	pos, key := tab.NodeKey[src], tab.NodeKey[dst]
 	for {
-		edge, done := st.NextEdge(cur, dst)
+		edge, done := tab.Next(pos, key, 0)
 		if done {
 			return buf
 		}
-		cur = net.EdgeTo(edge)
-		if cur != dst {
-			buf = append(buf, int32(cur))
+		pos = tab.EdgeKey[edge]
+		if pos != key {
+			buf = append(buf, tab.NodeOf(pos))
 		}
 	}
 }
