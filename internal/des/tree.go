@@ -19,6 +19,9 @@ const (
 	// MaxPayload is the largest payload Schedule accepts.
 	MaxPayload = 1<<24 - 1
 	seqShift   = 24
+	// SeqLimit bounds the sequence counter: a tree issues sequence words
+	// below it and panics on overflow.
+	SeqLimit = 1 << (64 - seqShift)
 )
 
 // event16 is one event key: exactly 16 bytes. tbits is math.Float64bits of
@@ -147,7 +150,7 @@ func (t *EventTree) Reset(slots int) {
 // nextSeq draws the next tie-break sequence word.
 func (t *EventTree) nextSeq() uint64 {
 	t.seq++
-	if t.seq >= 1<<(64-seqShift) {
+	if t.seq >= SeqLimit {
 		panic("des: EventTree sequence overflow")
 	}
 	return t.seq << seqShift
@@ -250,7 +253,7 @@ func (t *EventTree) SeqCounter() uint64 { return t.seq }
 // RestoreSeqCounter sets the sequence counter, so sequence words drawn
 // after a restore continue exactly where the captured tree stopped.
 func (t *EventTree) RestoreSeqCounter(seq uint64) {
-	if seq >= 1<<(64-seqShift) {
+	if seq >= SeqLimit {
 		panic("des: RestoreSeqCounter past the sequence limit")
 	}
 	t.seq = seq

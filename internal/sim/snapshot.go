@@ -45,6 +45,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"repro/internal/des"
 	"repro/internal/routing"
 )
 
@@ -177,8 +178,21 @@ func (e *engine) restoreSnapshot(sn *Snapshot) error {
 	if total != len(sn.PktCur) {
 		return fmt.Errorf("sim: snapshot queue lengths sum to %d packets but %d are stored", total, len(sn.PktCur))
 	}
-	if !(sn.Time >= 0) || math.IsInf(sn.Time, 0) || math.IsNaN(sn.Time) {
-		return fmt.Errorf("sim: snapshot time %v is invalid", sn.Time)
+	// Bounded time keeps the clock able to advance by a service time (a
+	// run near 2^53 would stall on rounding); every pending event and the
+	// arrival clock must lie at or after the capture time, as a capture's
+	// do, or the resumed run would replay the whole past.
+	if !(sn.Time >= 0 && sn.Time <= maxSnapshotTime) {
+		return fmt.Errorf("sim: snapshot time %v is out of range [0, %v]", sn.Time, float64(maxSnapshotTime))
+	}
+	if sn.RNG == [4]uint64{} {
+		return fmt.Errorf("sim: snapshot RNG state is all zero")
+	}
+	if sn.Seq >= des.SeqLimit/2 {
+		return fmt.Errorf("sim: snapshot sequence counter %d leaves no room for the resumed run", sn.Seq)
+	}
+	if err := e.checkSnapshotEvents(sn); err != nil {
+		return err
 	}
 
 	// Continue the captured clock: measurement runs [Time+Warmup,
@@ -187,11 +201,7 @@ func (e *engine) restoreSnapshot(sn *Snapshot) error {
 	e.end = e.start + cfg.Horizon
 	e.rng.Restore(sn.RNG)
 	e.tree.RestoreSeqCounter(sn.Seq)
-	slots := e.tree.Slots()
 	for i, slot := range sn.EventSlots {
-		if int(slot) < 0 || int(slot) >= slots {
-			return fmt.Errorf("sim: snapshot event slot %d out of range [0, %d)", slot, slots)
-		}
 		e.tree.RestoreSlot(int(slot), sn.EventTBits[i], sn.EventMeta[i])
 	}
 
@@ -241,6 +251,51 @@ func (e *engine) restoreSnapshot(sn *Snapshot) error {
 			}
 		} else {
 			e.nextArrMeta = 0
+		}
+	}
+	if e.nextArrMeta != 0 {
+		switch {
+		case cfg.PerNodeArrivals:
+			return fmt.Errorf("sim: snapshot has a merged arrival clock under per-node arrivals")
+		case cfg.SlotTau == 0 && e.totalRate <= 0:
+			return fmt.Errorf("sim: snapshot has a pending arrival at rate zero")
+		case !(e.nextArr >= sn.Time) || math.IsInf(e.nextArr, 1):
+			return fmt.Errorf("sim: snapshot arrival clock %v is before the capture time or infinite", e.nextArr)
+		}
+	}
+	return nil
+}
+
+// maxSnapshotTime bounds a snapshot's capture time: far beyond any real
+// run, yet small enough that float64 time still resolves 1/128 of a unit
+// service time.
+const maxSnapshotTime = 1 << 45
+
+// checkSnapshotEvents requires every pending tree event to be one the
+// engine could have scheduled: a finite time at or after the capture, and
+// a payload matching its slot. Edge slots hold the departure of a nonempty
+// queue; source slots (per-node arrivals only) hold that source's next
+// generation, which needs a positive rate to reschedule.
+func (e *engine) checkSnapshotEvents(sn *Snapshot) error {
+	numEdges, slots := sn.NumEdges, e.tree.Slots()
+	for i, slot := range sn.EventSlots {
+		if int(slot) < 0 || int(slot) >= slots {
+			return fmt.Errorf("sim: snapshot event slot %d out of range [0, %d)", slot, slots)
+		}
+		if at := math.Float64frombits(sn.EventTBits[i]); !(at >= sn.Time) || math.IsInf(at, 1) {
+			return fmt.Errorf("sim: snapshot event time %v is before the capture time or infinite", at)
+		}
+		want := evPack(evDeparture, int(slot))
+		if int(slot) >= numEdges {
+			want = evPack(evNodeArrival, int(slot)-numEdges)
+			if !(e.cfg.NodeRate > 0) {
+				return fmt.Errorf("sim: snapshot has a per-node arrival at rate zero")
+			}
+		} else if sn.QueueLen[slot] == 0 {
+			return fmt.Errorf("sim: snapshot has a departure from empty edge %d", slot)
+		}
+		if uint32(sn.EventMeta[i]&des.MaxPayload) != want {
+			return fmt.Errorf("sim: snapshot event in slot %d has payload %#x, want %#x", slot, sn.EventMeta[i]&des.MaxPayload, want)
 		}
 	}
 	return nil

@@ -167,6 +167,25 @@ func (s *Engine) restore(snap *Snapshot) error {
 	if entTotal != len(snap.Entries) {
 		return fmt.Errorf("stepsim: snapshot queue lengths sum to %d entries but %d are stored", entTotal, len(snap.Entries))
 	}
+	// Entries are canonical (slot bits and measured flag zero), and their
+	// destination keys and stepper choices index the route-step table.
+	for _, ent := range snap.Entries {
+		key := int32(ent >> entKeyShift)
+		v := s.tab.NodeOf(key)
+		switch {
+		case ent&(entMeasured|entSlotMask) != 0:
+			return fmt.Errorf("stepsim: snapshot entry %#x is not canonical", ent)
+		case v < 0 || int(v) >= snap.NumNodes || s.tab.NodeKey[v] != key:
+			return fmt.Errorf("stepsim: snapshot entry destination key %d is not a node of %s", key, snap.TopoName)
+		case int(ent>>entSlotBits&entChoiceMask) >= len(s.tab.Steppers):
+			return fmt.Errorf("stepsim: snapshot entry stepper choice %d out of range", ent>>entSlotBits&entChoiceMask)
+		}
+	}
+	for _, st := range snap.RNG {
+		if st == [4]uint64{} {
+			return fmt.Errorf("stepsim: snapshot has an all-zero RNG state")
+		}
+	}
 	k := 0
 	var live int64
 	for e := 0; e < snap.NumEdges; e++ {
