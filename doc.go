@@ -45,7 +45,10 @@
 //     packets never carry a materialized route slice. The randomized
 //     §6 router resolves its coin at generation time into a 1-bit stepper
 //     choice. Router.AppendRoute remains the reference implementation and
-//     cross-check oracle.
+//     cross-check oracle. Every hop walker — both engines and the exact
+//     traffic analysis — steps through one routing.Table, which on 2-D
+//     arrays replaces the per-hop interface call and divisions with
+//     closed-form edge-id arithmetic on packed coordinates.
 //   - Packet arena (internal/sim): in-flight packets are 24-byte structs
 //     in one contiguous slice, addressed by generation-checked int32
 //     handles; queues hold handles, not pointers.

@@ -105,34 +105,29 @@ func (t *Table) Fast() bool { return t.fast }
 
 // Next is Stepper.NextEdge in key form: the edge a packet at key pos takes
 // toward key dst under stepper choice, or done = true when the route has
-// ended (pos == dst on the array path).
+// ended (pos == dst on the array path). The array path is the closed-form
+// greedy step (edge ids as in topology.Array2D): row edges before column
+// edges unless the choice's stepper is column-first.
 func (t *Table) Next(pos, dst int32, choice uint32) (edge int32, done bool) {
-	if t.fast {
-		if pos == dst {
-			return 0, true
-		}
-		return t.nextArray(pos, dst, t.colFirst[choice]), false
+	if !t.fast {
+		e, done := t.Steppers[choice].NextEdge(int(pos), int(dst))
+		return int32(e), done
 	}
-	e, done := t.Steppers[choice].NextEdge(int(pos), int(dst))
-	return int32(e), done
-}
-
-// nextArray is the closed-form greedy step on the n×n array (edge ids as
-// in topology.Array2D): row edges before column edges unless colFirst.
-// The caller guarantees pos != dst.
-func (t *Table) nextArray(pos, dst int32, colFirst uint32) int32 {
+	if pos == dst {
+		return 0, true
+	}
 	r, c := pos>>CoordBits, pos&MaxPackedSide
 	dr, dc := dst>>CoordBits, dst&MaxPackedSide
-	if c != dc && (colFirst == 0 || r == dr) {
+	if c != dc && (t.colFirst[choice] == 0 || r == dr) {
 		if c < dc {
-			return r*t.n1 + c // Right
+			return r*t.n1 + c, false // Right
 		}
-		return t.h + r*t.n1 + c - 1 // Left
+		return t.h + r*t.n1 + c - 1, false // Left
 	}
 	if r < dr {
-		return 2*t.h + c*t.n1 + r // Down
+		return 2*t.h + c*t.n1 + r, false // Down
 	}
-	return 3*t.h + c*t.n1 + r - 1 // Up
+	return 3*t.h + c*t.n1 + r - 1, false // Up
 }
 
 // AppendPath appends the whole route from key pos to key dst under stepper
