@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"repro/internal/topology"
 	"repro/internal/xrand"
 )
@@ -34,8 +36,8 @@ type Table struct {
 	NodeKey []int32
 	EdgeKey []int32
 
-	// fast selects the closed-form array path; n1 and h are its edge-id
-	// constants (side−1 and edges per direction) and colFirst maps a
+	// fast selects the closed-form array path; n, n1 and h are its
+	// constants (side, side−1 and edges per direction) and colFirst maps a
 	// stepper choice to column-first routing.
 	fast     bool
 	n, n1, h int32
@@ -51,8 +53,8 @@ func (t *Table) Init(net topology.Network, steppers []Stepper, choose func(*xran
 	colFirst, fast := fastArray(net, steppers)
 	t.fast = fast && allowFast
 	numNodes, numEdges := net.NumNodes(), net.NumEdges()
-	t.NodeKey = growKeys(t.NodeKey, numNodes)
-	t.EdgeKey = growKeys(t.EdgeKey, numEdges)
+	t.NodeKey = slices.Grow(t.NodeKey[:0], numNodes)[:numNodes]
+	t.EdgeKey = slices.Grow(t.EdgeKey[:0], numEdges)[:numEdges]
 	if t.fast {
 		a := net.(*topology.Array2D)
 		t.n = int32(a.N())
@@ -187,7 +189,7 @@ func (t *Table) Hops(pos, dst int32, choice uint32) int {
 	if t.fast {
 		dr := pos>>CoordBits - dst>>CoordBits
 		dc := pos&MaxPackedSide - dst&MaxPackedSide
-		return int(abs32(dr) + abs32(dc))
+		return abs(int(dr)) + abs(int(dc))
 	}
 	return t.Steppers[choice].RemainingHops(int(pos), int(dst))
 }
@@ -198,20 +200,4 @@ func (t *Table) NodeOf(key int32) int32 {
 		return (key>>CoordBits)*t.n + key&MaxPackedSide
 	}
 	return key
-}
-
-func abs32(x int32) int32 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// growKeys returns buf resized to n, reusing its capacity (contents are
-// unspecified; Init overwrites every element).
-func growKeys(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
 }

@@ -14,9 +14,10 @@ import (
 // Runner executes simulation runs while reusing the engine's allocation-
 // heavy state between them: the RNG, the event tree, the station arrays and
 // their ring slab, the packet arena, the route-step table, and every
-// per-edge lookup and counter table. A fresh Run performs ~34 setup allocations; a Runner's subsequent
-// runs of the same network shape perform almost none, so a sweep that gives
-// each worker one Runner (StreamSweep does) amortizes per-run setup to ~0.
+// per-edge lookup and counter table. A fresh Run performs ~36 setup
+// allocations; a Runner's subsequent runs of the same network shape
+// perform almost none, so a sweep that gives each worker one Runner
+// (StreamSweep does) amortizes per-run setup to ~0.
 //
 // Reuse is semantically invisible: every reused structure is reset to a
 // state indistinguishable from a freshly allocated one (the RNG is
