@@ -168,3 +168,4 @@ bench-compare: bench-compare-new
 
 vet:
 	go vet ./...
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }

@@ -41,15 +41,16 @@
 //
 //   - Implicit routing (internal/routing.Stepper): greedy routes on arrays
 //     are fully determined by the (current node, destination) pair, so
-//     every deterministic router hands the engine one edge at a time and
-//     packets never carry a materialized route slice. The randomized
-//     §6 router resolves its coin at generation time into a 1-bit stepper
-//     choice. Router.AppendRoute remains the reference implementation and
-//     cross-check oracle. Every hop walker — both engines and the exact
-//     traffic analysis — steps through one routing.Table, which on 2-D
-//     arrays replaces the per-hop interface call and divisions with
-//     closed-form edge-id arithmetic on packed coordinates.
-//   - Packet arena (internal/sim): in-flight packets are 24-byte structs
+//     every Router hands out steppers that give one edge at a time and
+//     packets never carry a materialized route slice; neither engine has
+//     another route path. The randomized §6 router resolves its coin at
+//     generation time into a 1-bit stepper choice. Router.AppendRoute
+//     remains the reference implementation the tests compare against.
+//     Every hop walker — both engines and the exact traffic analysis —
+//     steps through one routing.Table, which on 2-D arrays replaces the
+//     per-hop interface call and divisions with closed-form edge-id
+//     arithmetic on packed coordinates.
+//   - Packet arena (internal/sim): in-flight packets are 32-byte structs
 //     in one contiguous slice, addressed by generation-checked int32
 //     handles; queues hold handles, not pointers.
 //   - Tournament event tree (internal/des.EventTree): every scheduling
@@ -73,7 +74,7 @@
 //
 // All of it preserves the exact (Time, Seq) event order and RNG call
 // sequence of the original engine: seeded runs are bit-identical, which
-// the golden-value and cross-check tests in internal/sim enforce.
+// the golden-value tests in internal/sim enforce.
 //
 // # Two engines
 //

@@ -18,8 +18,8 @@ func recoverFixture(t *testing.T) (*topology.Array2D, Stepper, *fault.Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steppers, choose, ok := Steppers(GreedyXY{A: net})
-	if !ok || choose != nil || len(steppers) != 1 {
+	steppers, choose := Steppers(GreedyXY{A: net})
+	if choose != nil || len(steppers) != 1 {
 		t.Fatal("GreedyXY is not a single deterministic stepper")
 	}
 	return net, steppers[0], plan

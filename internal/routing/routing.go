@@ -1,7 +1,8 @@
 // Package routing implements the paper's routing disciplines and destination
 // distributions. A Router turns a (source, destination) pair into the
-// sequence of directed-edge ids the packet will traverse; a DestSampler
-// draws a packet's destination.
+// sequence of directed-edge ids the packet will traverse, and hands out the
+// Steppers that walk the same route one edge at a time from (current node,
+// destination); a DestSampler draws a packet's destination.
 //
 // The central policy is greedy routing on the array (§1.1): a packet first
 // moves along its source row to the correct column, then along that column
@@ -22,11 +23,13 @@ import (
 type Router interface {
 	// AppendRoute appends the directed-edge ids of the path from src to dst
 	// onto buf and returns the extended slice. An empty route means
-	// src == dst. Deterministic routers ignore rng.
+	// src == dst. Deterministic routers ignore rng. It is the reference
+	// form of the route; every walker steps through Steppers instead.
 	AppendRoute(buf []int, src, dst int, rng *xrand.RNG) []int
-	// MaxRouteLen returns an upper bound on the number of edges in any
-	// route, used to preallocate buffers and as the paper's d (Theorem 10).
-	MaxRouteLen() int
+	// Steppers returns the deterministic steppers a packet may follow:
+	// one for a deterministic router, one per generation-time choice for
+	// a ChoiceRouter.
+	Steppers() []Stepper
 }
 
 // DestSampler draws packet destinations. Implementations must be safe for
@@ -67,8 +70,8 @@ func (g GreedyXY) AppendRoute(buf []int, src, dst int, _ *xrand.RNG) []int {
 	return appendRowFirst(buf, g.A, src, dst)
 }
 
-// MaxRouteLen implements Router.
-func (g GreedyXY) MaxRouteLen() int { return 2 * (g.A.N() - 1) }
+// Steppers implements Router.
+func (g GreedyXY) Steppers() []Stepper { return []Stepper{g} }
 
 // GreedyYX routes column-first: column edges to the correct row, then row
 // edges. It is the mirror policy used by the randomized variant.
@@ -81,8 +84,8 @@ func (g GreedyYX) AppendRoute(buf []int, src, dst int, _ *xrand.RNG) []int {
 	return appendColFirst(buf, g.A, src, dst)
 }
 
-// MaxRouteLen implements Router.
-func (g GreedyYX) MaxRouteLen() int { return 2 * (g.A.N() - 1) }
+// Steppers implements Router.
+func (g GreedyYX) Steppers() []Stepper { return []Stepper{g} }
 
 // RandGreedy is §6's randomized greedy: each packet flips a fair coin to
 // route row-first or column-first. It is not Markovian in the paper's sense,
@@ -99,9 +102,6 @@ func (g RandGreedy) AppendRoute(buf []int, src, dst int, rng *xrand.RNG) []int {
 	}
 	return appendColFirst(buf, g.A, src, dst)
 }
-
-// MaxRouteLen implements Router.
-func (g RandGreedy) MaxRouteLen() int { return 2 * (g.A.N() - 1) }
 
 func appendRowFirst(buf []int, a *topology.Array2D, src, dst int) []int {
 	r1, c1 := a.Coords(src)
@@ -164,8 +164,8 @@ func (g LinearRoute) AppendRoute(buf []int, src, dst int, _ *xrand.RNG) []int {
 	return buf
 }
 
-// MaxRouteLen implements Router.
-func (g LinearRoute) MaxRouteLen() int { return g.L.N() - 1 }
+// Steppers implements Router.
+func (g LinearRoute) Steppers() []Stepper { return []Stepper{g} }
 
 // GreedyKD is dimension-order greedy routing on a k-dimensional array:
 // correct dimension 0 first, then dimension 1, and so on (§5.2).
@@ -200,14 +200,8 @@ func (g GreedyKD) AppendRoute(buf []int, src, dst int, _ *xrand.RNG) []int {
 	return buf
 }
 
-// MaxRouteLen implements Router.
-func (g GreedyKD) MaxRouteLen() int {
-	total := 0
-	for m := 0; m < g.A.K(); m++ {
-		total += g.A.Size(m) - 1
-	}
-	return total
-}
+// Steppers implements Router.
+func (g GreedyKD) Steppers() []Stepper { return []Stepper{g} }
 
 // TorusGreedy routes on a Torus2D row-first, going around each ring the
 // shorter way; ties (possible only for even n) go in the plus direction
@@ -258,8 +252,8 @@ func appendTorusStep(buf []int, t *topology.Torus2D, fixedCoord, cur int, d topo
 	return append(buf, t.EdgeIn(cur, fixedCoord, d))
 }
 
-// MaxRouteLen implements Router.
-func (g TorusGreedy) MaxRouteLen() int { return 2 * (g.T.N() / 2) }
+// Steppers implements Router.
+func (g TorusGreedy) Steppers() []Stepper { return []Stepper{g} }
 
 // CubeGreedy fixes hypercube address bits in canonical order 0..d-1 (§4.5).
 type CubeGreedy struct {
@@ -282,8 +276,8 @@ func (g CubeGreedy) AppendRoute(buf []int, src, dst int, _ *xrand.RNG) []int {
 	return buf
 }
 
-// MaxRouteLen implements Router.
-func (g CubeGreedy) MaxRouteLen() int { return g.H.D() }
+// Steppers implements Router.
+func (g CubeGreedy) Steppers() []Stepper { return []Stepper{g} }
 
 // ButterflyRoute routes from a level-0 node to a level-d node: at level l it
 // takes the cross edge exactly when the current row and the destination row
@@ -313,5 +307,5 @@ func (g ButterflyRoute) AppendRoute(buf []int, src, dst int, _ *xrand.RNG) []int
 	return buf
 }
 
-// MaxRouteLen implements Router.
-func (g ButterflyRoute) MaxRouteLen() int { return g.B.D() }
+// Steppers implements Router.
+func (g ButterflyRoute) Steppers() []Stepper { return []Stepper{g} }

@@ -10,8 +10,8 @@ import (
 // Stepper is the incremental form of a deterministic Router. Greedy routes
 // on array-like networks are fully determined by the (current node,
 // destination) pair, so a packet does not need to carry a materialized edge
-// slice: the simulator stores only (cur, dst) and asks for one edge at a
-// time. AppendRoute remains the reference implementation; the two must agree
+// slice: walkers store only (cur, dst) and ask for one edge at a time.
+// AppendRoute remains the reference implementation; the two must agree
 // edge for edge (asserted by TestStepperMatchesAppendRoute).
 //
 // Implementations must be safe for concurrent use: NextEdge and
@@ -26,30 +26,25 @@ type Stepper interface {
 }
 
 // ChoiceRouter is implemented by randomized routers whose per-packet
-// randomness collapses to a single generation-time choice among a fixed set
-// of deterministic steppers (e.g. RandGreedy's row-first/column-first coin).
-// The simulator draws Choose once per packet and stores the index.
+// randomness collapses to a single generation-time choice among their
+// Steppers (e.g. RandGreedy's row-first/column-first coin). Walkers draw
+// Choose once per packet and store the index.
 type ChoiceRouter interface {
-	// Steppers returns the deterministic steppers a packet may follow.
-	Steppers() []Stepper
+	Router
 	// Choose samples the stepper index for one packet. It must consume
 	// exactly the same rng variates AppendRoute would, so that seeded runs
-	// are identical between the incremental and materialized paths.
+	// follow the routes AppendRoute would have drawn.
 	Choose(rng *xrand.RNG) int
 }
 
-// Steppers returns the incremental steppers for r and a per-packet choice
-// function, or ok = false when r supports only AppendRoute. For
+// Steppers returns r's steppers and its per-packet choice function. For
 // deterministic routers choose is nil and the single stepper applies to
 // every packet.
-func Steppers(r Router) (steppers []Stepper, choose func(*xrand.RNG) int, ok bool) {
-	if cr, isChoice := r.(ChoiceRouter); isChoice {
-		return cr.Steppers(), cr.Choose, true
+func Steppers(r Router) (steppers []Stepper, choose func(*xrand.RNG) int) {
+	if cr, ok := r.(ChoiceRouter); ok {
+		return cr.Steppers(), cr.Choose
 	}
-	if s, isStepper := r.(Stepper); isStepper {
-		return []Stepper{s}, nil, true
-	}
-	return nil, nil, false
+	return r.Steppers(), nil
 }
 
 // NextEdge implements Stepper: row edges while the column is wrong, then
@@ -107,7 +102,7 @@ func verticalEdge(a *topology.Array2D, c, r1, r2 int) int {
 	return e
 }
 
-// Steppers implements ChoiceRouter: index 0 is row-first, index 1 is
+// Steppers implements Router: index 0 is row-first, index 1 is
 // column-first, matching the branch order of AppendRoute.
 func (g RandGreedy) Steppers() []Stepper {
 	return []Stepper{GreedyXY{A: g.A}, GreedyYX{A: g.A}}

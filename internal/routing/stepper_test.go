@@ -87,9 +87,9 @@ func TestStepperMatchesAppendRoute(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, choose, ok := Steppers(tc.router)
-			if !ok || len(s) != 1 || choose != nil {
-				t.Fatalf("Steppers: want one deterministic stepper, got %d (ok=%v, choose=%v)", len(s), ok, choose != nil)
+			s, choose := Steppers(tc.router)
+			if len(s) != 1 || choose != nil {
+				t.Fatalf("Steppers: want one deterministic stepper, got %d (choose=%v)", len(s), choose != nil)
 			}
 			n := tc.net.NumNodes()
 			check := func(src, dst int) {
@@ -126,8 +126,8 @@ func TestStepperMatchesAppendRoute(t *testing.T) {
 func TestButterflyStepperMatchesAppendRoute(t *testing.T) {
 	b := topology.NewButterfly(4)
 	r := ButterflyRoute{B: b}
-	s, choose, ok := Steppers(r)
-	if !ok || len(s) != 1 || choose != nil {
+	s, choose := Steppers(r)
+	if len(s) != 1 || choose != nil {
 		t.Fatal("butterfly should expose one deterministic stepper")
 	}
 	for _, src := range b.SourceNodes() {
@@ -147,8 +147,8 @@ func TestButterflyStepperMatchesAppendRoute(t *testing.T) {
 func TestRandGreedySteppers(t *testing.T) {
 	a := topology.NewArray2D(6)
 	r := RandGreedy{A: a}
-	steppers, choose, ok := Steppers(r)
-	if !ok || len(steppers) != 2 || choose == nil {
+	steppers, choose := Steppers(r)
+	if len(steppers) != 2 || choose == nil {
 		t.Fatalf("RandGreedy: want 2 steppers and a choice func")
 	}
 	n := a.NumNodes()
@@ -177,17 +177,5 @@ func TestRandGreedySteppers(t *testing.T) {
 		if !equalRoutes(got, want) {
 			t.Fatalf("iteration %d: choice path %v != AppendRoute %v", i, got, want)
 		}
-	}
-}
-
-// TestSteppersFallback: a router without an incremental form reports !ok.
-type appendOnlyRouter struct{}
-
-func (appendOnlyRouter) AppendRoute(buf []int, src, dst int, _ *xrand.RNG) []int { return buf }
-func (appendOnlyRouter) MaxRouteLen() int                                        { return 0 }
-
-func TestSteppersFallback(t *testing.T) {
-	if _, _, ok := Steppers(appendOnlyRouter{}); ok {
-		t.Fatal("append-only router should not report a stepper")
 	}
 }

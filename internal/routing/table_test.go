@@ -42,10 +42,7 @@ func TestTableMatchesSteppers(t *testing.T) {
 	)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			steppers, choose, ok := Steppers(c.router)
-			if !ok {
-				t.Fatalf("%T exposes no steppers", c.router)
-			}
+			steppers, choose := Steppers(c.router)
 			var tab Table
 			tab.Init(c.net, steppers, choose, true)
 			if tab.Fast() != c.fast {

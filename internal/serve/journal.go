@@ -135,12 +135,12 @@ func (jl *Journal) Root() string { return jl.root }
 func (jl *Journal) jobsDir() string         { return filepath.Join(jl.root, "jobs") }
 func (jl *Journal) JobDir(id string) string { return filepath.Join(jl.jobsDir(), id) }
 
-func (jl *Journal) jobPath(id string) string     { return filepath.Join(jl.JobDir(id), "job.json") }
-func (jl *Journal) logPath(id string) string     { return filepath.Join(jl.JobDir(id), "journal.jsonl") }
-func (jl *Journal) ckptPath(id string) string    { return filepath.Join(jl.JobDir(id), "ckpt.bin") }
-func (jl *Journal) cancelPath(id string) string  { return filepath.Join(jl.JobDir(id), "cancel") }
-func (jl *Journal) termPath(id string) string    { return filepath.Join(jl.JobDir(id), "terminal") }
-func (jl *Journal) leaseDir(id string) string    { return jl.JobDir(id) }
+func (jl *Journal) jobPath(id string) string    { return filepath.Join(jl.JobDir(id), "job.json") }
+func (jl *Journal) logPath(id string) string    { return filepath.Join(jl.JobDir(id), "journal.jsonl") }
+func (jl *Journal) ckptPath(id string) string   { return filepath.Join(jl.JobDir(id), "ckpt.bin") }
+func (jl *Journal) cancelPath(id string) string { return filepath.Join(jl.JobDir(id), "cancel") }
+func (jl *Journal) termPath(id string) string   { return filepath.Join(jl.JobDir(id), "terminal") }
+func (jl *Journal) leaseDir(id string) string   { return jl.JobDir(id) }
 
 // Create journals a new job: the immutable record, durably, then the
 // initial queued lifecycle record. After Create returns, the job survives
@@ -242,16 +242,25 @@ func (jl *Journal) Replay(id string) (*JobState, error) {
 		}
 		return nil, fmt.Errorf("serve: journal replay %s: %w", id, err)
 	}
+	replayLog(st, log)
+	return st, nil
+}
+
+// replayLog applies the journal's records to st in order. It trusts
+// nothing in log: a torn tail is ignored, a corrupt record ends the replay,
+// and point records that would leave a hole in Points (a gap, a negative
+// index, no document) are dropped, so any input yields a gap-free prefix.
+func replayLog(st *JobState, log []byte) {
 	for len(log) > 0 {
 		nl := bytes.IndexByte(log, '\n')
 		if nl < 0 {
-			break // torn tail: ignore
+			return // torn tail: ignore
 		}
 		line := log[:nl]
 		log = log[nl+1:]
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			break // corrupt record: everything after is untrusted
+			return // corrupt record: everything after is untrusted
 		}
 		switch rec.T {
 		case recQueued:
@@ -263,14 +272,16 @@ func (jl *Journal) Replay(id string) (*JobState, error) {
 			st.Pid = rec.Pid
 			st.LastAt = rec.At
 		case recPoint:
+			// The single lease-holding writer never leaves a gap
+			// (rec.Point > len), a negative index or an empty document;
+			// drop such records rather than fabricate holes.
 			switch {
+			case len(rec.Doc) == 0 || rec.Point < 0:
 			case rec.Point == len(st.Points):
 				st.Points = append(st.Points, rec.Doc)
 			case rec.Point < len(st.Points):
 				st.Points[rec.Point] = rec.Doc
 			}
-			// A gap (rec.Point > len) cannot be produced by the single
-			// lease-holding writer; drop it rather than fabricate holes.
 		case recDone:
 			st.Status = StatusDone
 			st.LastAt = rec.At
@@ -284,7 +295,6 @@ func (jl *Journal) Replay(id string) (*JobState, error) {
 			st.LastAt = rec.At
 		}
 	}
-	return st, nil
 }
 
 // List returns every journaled job id, ordered by (priority desc,
@@ -402,6 +412,13 @@ func (jl *Journal) ReadCheckpoint(id string) (point int, snaps [][]byte, err err
 	if err != nil {
 		return 0, nil, err
 	}
+	return decodeCheckpoint(data)
+}
+
+// decodeCheckpoint parses a SWPCKPT1 file. The snapshots alias data. The
+// snapshot count is checked against the bytes present before anything is
+// allocated, so a file cannot ask for more memory than its own size.
+func decodeCheckpoint(data []byte) (point int, snaps [][]byte, err error) {
 	if len(data) < len(ckptMagic)+12 || string(data[:len(ckptMagic)]) != ckptMagic {
 		return 0, nil, errors.New("serve: checkpoint: bad header")
 	}
@@ -413,6 +430,10 @@ func (jl *Journal) ReadCheckpoint(id string) (point int, snaps [][]byte, err err
 	point = int(binary.LittleEndian.Uint32(p))
 	count := int(binary.LittleEndian.Uint32(p[4:]))
 	p = p[8:]
+	if count > len(p)/4 {
+		// Every snapshot needs at least its 4-byte length.
+		return 0, nil, errors.New("serve: checkpoint: truncated")
+	}
 	snaps = make([][]byte, 0, count)
 	for range count {
 		if len(p) < 4 {

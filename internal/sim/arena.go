@@ -2,16 +2,13 @@ package sim
 
 import "fmt"
 
-// packet is one in-flight packet, 24 bytes. In stepper mode a packet is just
-// its routing state (current node, destination, stepper choice): the route
-// itself is recomputed one edge at a time. In the legacy AppendRoute mode
-// the materialized route lives in the arena's parallel routes slice and hop
-// indexes into it.
+// packet is one in-flight packet, 32 bytes. A packet is just its routing
+// state (current node, destination, stepper choice): the route itself is
+// recomputed one edge at a time.
 type packet struct {
 	genTime  float64
 	cur      int32
 	dst      int32
-	hop      int32
 	rem      int32 // remaining services charged to rNow (fault runs only)
 	rs       int32 // remaining saturated services charged to rsNow (fault runs only)
 	gen      uint8
@@ -36,34 +33,24 @@ const (
 // adjacent in memory, and lets stations queue 4-byte handles instead of
 // 8-byte pointers.
 //
-// The zero value is an empty arena; set legacy before first use to enable
-// the parallel route buffers.
+// The zero value is an empty arena.
 type arena struct {
 	packets []packet
-	routes  [][]int // parallel route buffers; legacy mode only
 	free    []int32 // recycled slot indices
-	legacy  bool
 }
 
 // reset empties the arena for reuse, keeping the packet and free-list
-// capacity, and switches it to the given mode. Recycled slots restart at
-// generation 0 exactly as in a fresh arena (alloc overwrites each slot with
-// a zero packet as it re-extends the slice), so handle sequences are
-// indistinguishable from a fresh arena's. Legacy route buffers are dropped
-// and regrow on demand.
-func (a *arena) reset(legacy bool) {
+// capacity. Recycled slots restart at generation 0 exactly as in a fresh
+// arena (alloc overwrites each slot with a zero packet as it re-extends the
+// slice), so handle sequences are indistinguishable from a fresh arena's.
+func (a *arena) reset() {
 	a.packets = a.packets[:0]
-	for i := range a.routes {
-		a.routes[i] = nil
-	}
-	a.routes = a.routes[:0]
 	a.free = a.free[:0]
-	a.legacy = legacy
 }
 
-// alloc returns a handle and pointer to a zero-hop-initialized packet slot.
-// The pointer is valid until the next alloc (which may grow the backing
-// slice).
+// alloc returns a handle and pointer to a packet slot whose fault-run
+// counters are zeroed. The pointer is valid until the next alloc (which may
+// grow the backing slice).
 func (a *arena) alloc() (int32, *packet) {
 	var idx int32
 	if n := len(a.free); n > 0 {
@@ -74,13 +61,9 @@ func (a *arena) alloc() (int32, *packet) {
 			panic(fmt.Sprintf("sim: more than %d simultaneously live packets", arenaIndexMask+1))
 		}
 		a.packets = append(a.packets, packet{})
-		if a.legacy {
-			a.routes = append(a.routes, nil)
-		}
 		idx = int32(len(a.packets) - 1)
 	}
 	p := &a.packets[idx]
-	p.hop = 0
 	p.rem, p.rs = 0, 0
 	return idx | int32(p.gen)<<arenaIndexBits, p
 }
@@ -94,12 +77,6 @@ func (a *arena) get(h int32) *packet {
 	}
 	return p
 }
-
-// route returns the materialized route buffer for h (legacy mode).
-func (a *arena) route(h int32) []int { return a.routes[h&arenaIndexMask] }
-
-// setRoute stores the (possibly re-grown) route buffer for h (legacy mode).
-func (a *arena) setRoute(h int32, r []int) { a.routes[h&arenaIndexMask] = r }
 
 // release recycles h's slot, bumping its generation tag.
 func (a *arena) release(h int32) {

@@ -57,18 +57,15 @@ func (c *Config) perNodeRate(arrivals ArrivalProcess, numSources int) float64 {
 // rate: such a run never reaches steady state and its measured delays are
 // horizon artifacts, so failing loudly beats producing garbage. The check
 // only fires when the exact demand is knowable — Dest implements
-// DemandDist and the router exposes steppers (randomized choice routers
-// are averaged uniformly over their steppers, which matches RandGreedy's
-// fair coin) — so plain UniformDest configs pay nothing.
+// DemandDist (randomized choice routers are averaged uniformly over their
+// steppers, which matches RandGreedy's fair coin) — so plain UniformDest
+// configs pay nothing.
 func (c *Config) checkStability(arrivals ArrivalProcess) error {
 	dist, ok := c.Dest.(DemandDist)
 	if !ok {
 		return nil
 	}
-	steppers, choose, ok := routing.Steppers(c.Router)
-	if !ok {
-		return nil
-	}
+	steppers, choose := routing.Steppers(c.Router)
 	sources := topology.Sources(c.Net)
 	perNode := c.perNodeRate(arrivals, len(sources))
 	if perNode == 0 {

@@ -7,17 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/xrand"
 )
-
-// appendOnlyGreedy wraps GreedyXY behind the bare Router interface so it
-// cannot be stepped incrementally — the fault layer must refuse it.
-type appendOnlyGreedy struct{ a *topology.Array2D }
-
-func (r appendOnlyGreedy) AppendRoute(buf []int, src, dst int, rng *xrand.RNG) []int {
-	return routing.GreedyXY{A: r.a}.AppendRoute(buf, src, dst, rng)
-}
-func (r appendOnlyGreedy) MaxRouteLen() int { return routing.GreedyXY{A: r.a}.MaxRouteLen() }
 
 func bindFaults(t *testing.T, net topology.Network, spec *fault.Spec) *fault.Plan {
 	t.Helper()
@@ -133,13 +123,6 @@ func TestDESFaultValidation(t *testing.T) {
 			t.Error("PS + faults accepted")
 		}
 	})
-	t.Run("materialized routes", func(t *testing.T) {
-		cfg := base
-		cfg.MaterializeRoutes = true
-		if _, err := Run(cfg); err == nil {
-			t.Error("MaterializeRoutes + faults accepted")
-		}
-	})
 	t.Run("saturated tracking", func(t *testing.T) {
 		// R_s tracking works on degraded networks since the per-packet
 		// remaining-service accounting: the combination must run.
@@ -156,13 +139,6 @@ func TestDESFaultValidation(t *testing.T) {
 		cfg.Faults = bindFaults(t, small, &fault.Spec{LinkMTBF: 100, LinkMTTR: 10})
 		if _, err := Run(cfg); err == nil {
 			t.Error("plan bound against another topology accepted")
-		}
-	})
-	t.Run("non-stepper router", func(t *testing.T) {
-		cfg := base
-		cfg.Router = appendOnlyGreedy{a: a}
-		if _, err := Run(cfg); err == nil {
-			t.Error("fault layer without a stepper router accepted")
 		}
 	})
 }

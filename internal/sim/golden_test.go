@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/topology"
+	"repro/internal/xrand"
 )
 
 // goldenCase pins one seeded run. The expected values were recorded from the
@@ -210,10 +211,57 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// TestStepperEngineMatchesMaterialized cross-checks the two route
-// representations: every golden configuration must produce a bit-identical
-// Result whether packets walk routing.Stepper incrementally or carry
-// materialized AppendRoute slices (Config.MaterializeRoutes).
+// materializedRouter routes like the wrapped router but walks the routes
+// its steppers' AppendRoute materializes: every step recomputes the whole
+// route from the current node and takes its first edge. Its steppers are
+// not the closed-form array types, so the route-step table walks them on
+// its generic path, node ids as keys.
+type materializedRouter struct{ routing.Router }
+
+func (m materializedRouter) Steppers() []routing.Stepper {
+	steppers := m.Router.Steppers()
+	out := make([]routing.Stepper, len(steppers))
+	for i, s := range steppers {
+		out[i] = routeStepper{s.(routing.Router)}
+	}
+	return out
+}
+
+// materializedChoiceRouter adds the wrapped router's per-packet choice.
+type materializedChoiceRouter struct {
+	materializedRouter
+	choose func(*xrand.RNG) int
+}
+
+func (m materializedChoiceRouter) Choose(rng *xrand.RNG) int { return m.choose(rng) }
+
+// materialize wraps r in the AppendRoute-walking oracle router.
+func materialize(r routing.Router) routing.Router {
+	if _, choose := routing.Steppers(r); choose != nil {
+		return materializedChoiceRouter{materializedRouter{r}, choose}
+	}
+	return materializedRouter{r}
+}
+
+// routeStepper steps along a deterministic router's AppendRoute.
+type routeStepper struct{ r routing.Router }
+
+func (s routeStepper) NextEdge(cur, dst int) (int, bool) {
+	route := s.r.AppendRoute(nil, cur, dst, nil)
+	if len(route) == 0 {
+		return 0, true
+	}
+	return route[0], false
+}
+
+func (s routeStepper) RemainingHops(cur, dst int) int {
+	return len(s.r.AppendRoute(nil, cur, dst, nil))
+}
+
+// TestStepperEngineMatchesMaterialized cross-checks the engine's route walk
+// against the reference routes: every golden configuration must produce a
+// bit-identical Result whether packets step through the router's own
+// steppers or along AppendRoute's materialized routes (materializedRouter).
 func TestStepperEngineMatchesMaterialized(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
@@ -224,7 +272,7 @@ func TestStepperEngineMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.MaterializeRoutes = true
+			cfg.Router = materialize(cfg.Router)
 			materialized, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -63,15 +63,7 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if cfg.Capture || cfg.Resume != nil {
-		if err := snapshotGate(cfg); err != nil {
-			return Result{}, err
-		}
-	}
 	e := r.prepare(cfg, arrivals)
-	if cfg.Faults != nil && !e.fastFIFO {
-		return Result{}, fmt.Errorf("sim: fault layer requires a router implementing routing.Stepper")
-	}
 	if cfg.Resume != nil {
 		// A restore replaces source scheduling entirely: the captured
 		// clock scalars, tree events and packets carry the whole pending
@@ -166,25 +158,17 @@ func (r *Runner) prepare(cfg Config, arrivals ArrivalProcess) *engine {
 	} else {
 		e.tree = des.NewEventTree(slots)
 	}
-	if !cfg.MaterializeRoutes {
-		if steppers, choose, ok := routing.Steppers(cfg.Router); ok {
-			// Fault mode keeps node-id keys, as the slotted engine's
-			// does: the fault plan's tables index nodes directly.
-			r.tab.Init(cfg.Net, steppers, choose, cfg.Faults == nil)
-			e.tab = &r.tab
-		}
-	}
+	steppers, choose := routing.Steppers(cfg.Router)
+	// Fault mode keeps node-id keys, as the slotted engine's does: the
+	// fault plan's tables index nodes directly.
+	r.tab.Init(cfg.Net, steppers, choose, cfg.Faults == nil)
+	e.tab = &r.tab
 	e.arena = r.arena
-	if e.tab != nil {
-		e.arena.reset(false)
-		e.edgeTo = growI32(r.edgeTo, numEdges)
-		for ed := 0; ed < numEdges; ed++ {
-			e.edgeTo[ed] = int32(cfg.Net.EdgeTo(ed))
-		}
-	} else {
-		e.arena.reset(true)
+	e.arena.reset()
+	e.edgeTo = growI32(r.edgeTo, numEdges)
+	for ed := 0; ed < numEdges; ed++ {
+		e.edgeTo[ed] = int32(cfg.Net.EdgeTo(ed))
 	}
-	e.fastFIFO = cfg.Discipline == FIFO && e.tab != nil
 	e.totalRate = cfg.NodeRate * float64(len(e.sources))
 	if e.arrivals != nil {
 		// Batch sizing and rate bookkeeping use the process's mean rate;
@@ -311,9 +295,7 @@ func (r *Runner) capture(e *engine) {
 	if e.prio != nil {
 		r.prio = e.prio
 	}
-	if e.edgeTo != nil {
-		r.edgeTo = e.edgeTo
-	}
+	r.edgeTo = e.edgeTo
 	if e.svcRate != nil {
 		r.svcRate = e.svcRate
 	}

@@ -7,8 +7,7 @@ import (
 
 // TestRunnerMatchesRun drives one Runner through a deliberately hostile
 // sequence of configurations — growing and shrinking topologies, switching
-// disciplines and service models, toggling route materialization, slotted
-// and per-node arrivals, and the optional trackers — and requires every
+// disciplines and service models, slotted and per-node arrivals, and the optional trackers — and requires every
 // result to be bit-identical to a fresh Run of the same config. This is the
 // contract that lets the sweep pool reuse engines: state reuse must be
 // semantically invisible.
@@ -73,14 +72,17 @@ func TestRunnerMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesRunMaterialized exercises the legacy AppendRoute arena
-// path under reuse (it shares the arena with the stepper path but keeps
-// per-packet route buffers).
+// TestRunnerMatchesRunMaterialized alternates the AppendRoute-walking
+// oracle router with the plain one through one Runner, so its route-step
+// table switches between node-id keys (generic path) and packed array keys
+// (closed form) under reuse.
 func TestRunnerMatchesRunMaterialized(t *testing.T) {
 	var runner Runner
 	for i, gc := range goldenCases()[:4] {
 		cfg := gc.cfg()
-		cfg.MaterializeRoutes = i%2 == 0 // alternate modes through one arena
+		if i%2 == 0 {
+			cfg.Router = materialize(cfg.Router)
+		}
 		reused, err := runner.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +93,7 @@ func TestRunnerMatchesRunMaterialized(t *testing.T) {
 		}
 		if math.Float64bits(reused.MeanDelay) != math.Float64bits(fresh.MeanDelay) ||
 			reused.Delivered != fresh.Delivered {
-			t.Errorf("%s (materialize=%v): runner diverges from fresh Run", gc.name, cfg.MaterializeRoutes)
+			t.Errorf("%s (materialized=%v): runner diverges from fresh Run", gc.name, i%2 == 0)
 		}
 	}
 }

@@ -25,12 +25,11 @@
 // The event loop is allocation-free at steady state and organized around
 // three structures (see BENCH.md for measurements):
 //
-//   - routing.Stepper: deterministic routers hand out one edge at a time
-//     from the (current, destination) pair, so packets never materialize a
-//     route slice (generate falls back to Router.AppendRoute only for
-//     routers that do not implement Stepper, or when
-//     Config.MaterializeRoutes forces the cross-check path);
-//   - a packet arena: packets are 24-byte structs in one contiguous slice,
+//   - routing.Table: every router hands out steppers that give one edge at
+//     a time from the (current, destination) pair, so packets never
+//     materialize a route slice; the Runner's table walks them (closed-form
+//     on 2-D greedy arrays);
+//   - a packet arena: packets are 32-byte structs in one contiguous slice,
 //     addressed by generation-checked int32 handles (arena.go);
 //   - des.EventTree: a tournament tree of 16-byte packed event records
 //     (payload packs the event kind and edge/source id into 24 bits) with
@@ -42,9 +41,8 @@
 // Loop invariants (total arrival rate, per-edge service means and rates,
 // the EdgeTo table) are hoisted out of the loop at Run setup. All of this
 // preserves the exact (Time, Seq) event order and RNG call sequence of the
-// original materialized-route engine, so seeded results are bit-identical
-// across both paths (asserted by TestGoldenDeterminism and
-// TestStepperEngineMatchesMaterialized).
+// original materialized-route engine, so seeded results still match its
+// trajectories bit for bit (TestGoldenDeterminism pins them).
 package sim
 
 import (
@@ -95,9 +93,9 @@ const (
 type Config struct {
 	// Net is the network topology.
 	Net topology.Network
-	// Router generates packet routes. Routers implementing routing.Stepper
-	// (all deterministic routers in internal/routing) are walked
-	// incrementally; others go through AppendRoute.
+	// Router generates packet routes. Packets walk its Steppers one edge
+	// at a time; a routing.ChoiceRouter's Choose picks each packet's
+	// stepper at generation.
 	Router routing.Router
 	// Dest samples packet destinations.
 	Dest routing.DestSampler
@@ -154,11 +152,6 @@ type Config struct {
 	// DelayHistWidth, if positive, enables a delay histogram with the given
 	// bucket width (Result.DelayHist), for tail quantiles.
 	DelayHistWidth float64
-	// MaterializeRoutes forces the AppendRoute path even when the router
-	// implements routing.Stepper. The two paths consume identical RNG
-	// sequences and produce bit-identical results; this switch exists so
-	// tests can cross-check them.
-	MaterializeRoutes bool
 	// Resume, if non-nil, starts the run from a captured steady-state
 	// checkpoint instead of an empty network, continuing the captured
 	// run's absolute clock: measurement covers [Snapshot.Time+Warmup,
@@ -168,8 +161,8 @@ type Config struct {
 	// (restore-and-continue equals an uninterrupted longer run); a
 	// NodeRate change warm-starts the next point of a ρ-ladder and is
 	// statistically exact on the merged and slotted arrival models (see
-	// snapshot.go). Only the FIFO + stepper-routing path supports
-	// checkpoints.
+	// snapshot.go). Only the FIFO discipline with the merged, per-node or
+	// slotted Poisson arrival models supports checkpoints.
 	Resume *Snapshot
 	// Capture asks the run to export its end-of-run state as
 	// Result.Snapshot, for a later Resume. Same path restrictions as
@@ -189,10 +182,10 @@ type Config struct {
 	// (internal/fault), and switches routing to greedy-with-recovery:
 	// packets detour around down greedy next hops and are dropped —
 	// counted in Result, never silently lost — at dead ends. Only the
-	// FIFO + stepper-routing fast path supports faults (no PS or
-	// FurthestFirst, no MaterializeRoutes, no Resume/Capture). MeanR and
-	// MeanRs are tracked per packet on fault runs: detours and misroutes
-	// re-evaluate the remaining greedy continuation (see fault.go). The
+	// FIFO discipline supports faults (no PS or FurthestFirst, no
+	// Resume/Capture). MeanR and MeanRs are tracked per packet on fault
+	// runs: detours and misroutes re-evaluate the remaining greedy
+	// continuation (see fault.go). The
 	// fault-free path is bit-identical with or without this field
 	// compiled in; a nil Faults changes nothing.
 	Faults *fault.Plan
@@ -225,10 +218,12 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: NodeRate must be zero when Arrivals is set (the process's Rate() defines the load)")
 	case c.Net.NumEdges() > maxEventID+1 || c.Net.NumNodes() > maxEventID+1:
 		return fmt.Errorf("sim: %s exceeds the %d edge/node event-encoding limit", c.Net.Name(), maxEventID+1)
+	case (c.Capture || c.Resume != nil) && c.Discipline != FIFO:
+		return fmt.Errorf("sim: snapshots support only the FIFO discipline (in-flight PS/priority state is not serialized)")
+	case (c.Capture || c.Resume != nil) && c.Arrivals != nil:
+		return fmt.Errorf("sim: snapshots do not support custom Arrivals processes (their internal state is not serialized)")
 	case c.Faults != nil && c.Discipline != FIFO:
 		return fmt.Errorf("sim: fault layer supports only the FIFO discipline")
-	case c.Faults != nil && c.MaterializeRoutes:
-		return fmt.Errorf("sim: fault layer requires stepper routing; MaterializeRoutes cannot combine with Faults")
 	case c.Faults != nil && (c.Resume != nil || c.Capture):
 		return fmt.Errorf("sim: fault processes are not snapshottable; Faults cannot combine with Resume or Capture")
 	case c.Faults != nil && (c.Faults.NumNodes != c.Net.NumNodes() || c.Faults.NumEdges != c.Net.NumEdges()):
@@ -240,8 +235,10 @@ func (c *Config) validate() error {
 
 // Result holds the measurements of one run.
 type Result struct {
-	// MeanDelay is T̂: the mean time in system over measured packets
-	// (including zero-hop packets, as in the paper's model).
+	// MeanDelay is T̂: the mean time in system over measured packets.
+	// Zero-hop packets (destination equal to source) count with delay 0;
+	// the paper's Table I appears to exclude them, matching T̂·N/(N−1)
+	// instead (see ROADMAP.md).
 	MeanDelay float64
 	// DelayCI is the 95% batch-means half-width for MeanDelay.
 	DelayCI float64
@@ -340,12 +337,11 @@ type engine struct {
 	// Poisson / slotted / per-node paths).
 	arrivals ArrivalProcess
 
-	// routing plane: tab (the Runner's route-step table) is nil on the
-	// legacy AppendRoute path. Packets carry node ids; each hop converts
-	// them to table keys through tab.NodeKey / tab.EdgeKey.
-	tab      *routing.Table
-	edgeTo   []int32
-	fastFIFO bool // FIFO discipline + stepper routing: use departFIFO
+	// routing plane: tab is the Runner's route-step table. Packets carry
+	// node ids; each hop converts them to table keys through tab.NodeKey /
+	// tab.EdgeKey.
+	tab    *routing.Table
+	edgeTo []int32
 
 	// flt is the fault layer's per-run state (nil on fault-free runs;
 	// every fault hook in the engine is behind this check).
@@ -524,14 +520,13 @@ func (e *engine) loop() bool {
 			e.generate(t, e.sources[id])
 			e.tree.Schedule(e.srcSlot(id), t+e.rng.Exp(e.cfg.NodeRate), payload)
 		case evDeparture:
-			if e.fastFIFO {
-				if e.flt != nil {
-					e.departFIFOFault(t, id)
-				} else {
-					e.departFIFO(t, id)
-				}
-			} else {
-				e.fifoDepart(t, id)
+			switch {
+			case e.cfg.Discipline == FurthestFirst:
+				e.prioDepart(t, id)
+			case e.flt != nil:
+				e.departFIFOFault(t, id)
+			default:
+				e.departFIFO(t, id)
 			}
 		case evPSDone:
 			e.psDepart(t, id)
@@ -562,77 +557,50 @@ func (e *engine) generate(t float64, src int) {
 	if e.measuring {
 		e.generated++
 	}
-	if e.tab != nil {
-		choice := 0
-		if e.tab.Choose != nil {
-			// The randomized router's coin, resolved at generation time;
-			// consumes the same variate AppendRoute would.
-			choice = e.tab.Choose(e.rng)
-		}
-		if e.flt != nil && !e.flt.nodeUp(int32(src), t) {
-			// Down source: the packet is offered but immediately lost —
-			// checked after the destination and coin draws so the variate
-			// stream does not depend on the fault state (mirroring the
-			// slotted engine's source-drop hook).
-			if e.measuring {
-				e.flt.dropped++
-			}
-			return
-		}
-		pos, key := e.tab.NodeKey[src], e.tab.NodeKey[dst]
-		rem := e.tab.Hops(pos, key, uint32(choice))
-		if rem == 0 {
-			// Source equals destination: delivered instantly with zero
-			// delay, never entering any queue (the paper allows these).
-			e.recordDelivery(t, t, e.measuring)
-			return
-		}
-		h, p := e.arena.alloc()
-		p.genTime = t
-		p.cur = int32(src)
-		p.dst = int32(dst)
-		p.choice = uint8(choice)
-		p.measured = e.measuring
-		e.bumpN(t, 1)
-		e.rNow += float64(rem)
-		if e.flt != nil {
-			// Fault runs track remaining services per packet: detours and
-			// misroutes re-evaluate the greedy continuation, so each
-			// packet remembers what it charged (see departFIFOFault).
-			p.rem = int32(rem)
-		}
-		if e.cfg.Saturated != nil {
-			rs := e.countSaturatedWalk(pos, key, uint32(choice))
-			e.rsNow += float64(rs)
-			if e.flt != nil {
-				p.rs = int32(rs)
-			}
-		}
+	choice := 0
+	if e.tab.Choose != nil {
+		// The randomized router's coin, resolved at generation time;
+		// consumes the same variate AppendRoute would.
+		choice = e.tab.Choose(e.rng)
+	}
+	if e.flt != nil && !e.flt.nodeUp(int32(src), t) {
+		// Down source: the packet is offered but immediately lost —
+		// checked after the destination and coin draws so the variate
+		// stream does not depend on the fault state (mirroring the
+		// slotted engine's source-drop hook).
 		if e.measuring {
-			e.rInt.Set(t, e.rNow)
-			if e.cfg.Saturated != nil {
-				e.rsInt.Set(t, e.rsNow)
-			}
+			e.flt.dropped++
 		}
-		e.enqueue(t, h, p)
 		return
 	}
-
-	// Legacy path: materialize the route through AppendRoute.
+	pos, key := e.tab.NodeKey[src], e.tab.NodeKey[dst]
+	rem := e.tab.Hops(pos, key, uint32(choice))
+	if rem == 0 {
+		// Source equals destination: delivered instantly with zero
+		// delay, never entering any queue (the paper allows these).
+		e.recordDelivery(t, t, e.measuring)
+		return
+	}
 	h, p := e.arena.alloc()
 	p.genTime = t
+	p.cur = int32(src)
+	p.dst = int32(dst)
+	p.choice = uint8(choice)
 	p.measured = e.measuring
-	route := e.cfg.Router.AppendRoute(e.arena.route(h)[:0], src, dst, e.rng)
-	e.arena.setRoute(h, route)
-	if len(route) == 0 {
-		e.recordDelivery(t, t, e.measuring)
-		e.arena.release(h)
-		return
-	}
 	e.bumpN(t, 1)
-	e.rNow += float64(len(route))
+	e.rNow += float64(rem)
+	if e.flt != nil {
+		// Fault runs track remaining services per packet: detours and
+		// misroutes re-evaluate the greedy continuation, so each
+		// packet remembers what it charged (see departFIFOFault).
+		p.rem = int32(rem)
+	}
 	if e.cfg.Saturated != nil {
-		e.rsNow += float64(e.countSaturated(route))
+		rs := e.countSaturatedWalk(pos, key, uint32(choice))
+		e.rsNow += float64(rs)
+		if e.flt != nil {
+			p.rs = int32(rs)
+		}
 	}
 	if e.measuring {
 		e.rInt.Set(t, e.rNow)
@@ -659,16 +627,6 @@ func (e *engine) countSaturatedWalk(pos, dst int32, choice uint32) int {
 	}
 }
 
-func (e *engine) countSaturated(route []int) int {
-	count := 0
-	for _, edge := range route {
-		if e.cfg.Saturated[edge] {
-			count++
-		}
-	}
-	return count
-}
-
 // serviceTime samples the service requirement at edge; means and rates are
 // hoisted to per-edge tables at setup.
 func (e *engine) serviceTime(edge int) float64 {
@@ -679,26 +637,20 @@ func (e *engine) serviceTime(edge int) float64 {
 }
 
 // nextEdge returns the edge p enters next.
-func (e *engine) nextEdge(h int32, p *packet) int {
-	if e.tab != nil {
-		edge, _ := e.tab.Next(e.tab.NodeKey[p.cur], e.tab.NodeKey[p.dst], uint32(p.choice))
-		return int(edge)
-	}
-	return e.arena.route(h)[p.hop]
+func (e *engine) nextEdge(p *packet) int {
+	edge, _ := e.tab.Next(e.tab.NodeKey[p.cur], e.tab.NodeKey[p.dst], uint32(p.choice))
+	return int(edge)
 }
 
 // remainingHops returns the hop count left for p, counting the hop p is
 // currently queued for (or about to be).
-func (e *engine) remainingHops(h int32, p *packet) int {
-	if e.tab != nil {
-		return e.tab.Hops(e.tab.NodeKey[p.cur], e.tab.NodeKey[p.dst], uint32(p.choice))
-	}
-	return len(e.arena.route(h)) - int(p.hop)
+func (e *engine) remainingHops(p *packet) int {
+	return e.tab.Hops(e.tab.NodeKey[p.cur], e.tab.NodeKey[p.dst], uint32(p.choice))
 }
 
 // enqueue places p at its next edge's station.
 func (e *engine) enqueue(t float64, h int32, p *packet) {
-	edge := e.nextEdge(h, p)
+	edge := e.nextEdge(p)
 	if e.measuring {
 		e.edgeCount[edge]++
 	}
@@ -708,7 +660,7 @@ func (e *engine) enqueue(t float64, h int32, p *packet) {
 		st.Arrive(t, h, e.serviceTime(edge))
 		e.schedulePS(t, edge)
 	case FurthestFirst:
-		remaining := float64(e.remainingHops(h, p))
+		remaining := float64(e.remainingHops(p))
 		if e.prio[edge].Arrive(h, remaining) {
 			e.tree.ScheduleIdle(edge, t+e.serviceTime(edge), evPack(evDeparture, edge))
 		}
@@ -741,12 +693,12 @@ func (e *engine) schedulePS(t float64, edge int) {
 	}
 }
 
-// departFIFO is the fused FIFO+stepper fast path: fifoDepart, advance and
-// enqueue in one frame. Departures dominate the event mix (one per routed
-// hop), and the three-deep call chain is too large for the inliner, so the
-// fusion saves measurable dispatch overhead. The generic handlers below
-// remain the reference semantics; the golden and materialized cross-check
-// tests pin both paths to bit-identical results.
+// departFIFO completes the in-service packet at a FIFO edge and moves it
+// on: a service completion, advance and enqueue fused in one frame.
+// Departures dominate the event mix (one per routed hop), and the
+// three-deep call chain is too large for the inliner, so the fusion saves
+// measurable dispatch overhead. PS and FurthestFirst departures take the
+// unfused advance and enqueue below; the golden tests pin every discipline.
 func (e *engine) departFIFO(t float64, edge int) {
 	finished, _, hasNext := e.fifo[edge].Complete()
 	if hasNext {
@@ -791,15 +743,10 @@ func (e *engine) departFIFO(t float64, edge int) {
 	}
 }
 
-// fifoDepart completes the in-service packet at edge (FIFO or priority).
-func (e *engine) fifoDepart(t float64, edge int) {
-	var finished int32
-	var hasNext bool
-	if e.cfg.Discipline == FurthestFirst {
-		finished, _, hasNext = e.prio[edge].Complete()
-	} else {
-		finished, _, hasNext = e.fifo[edge].Complete()
-	}
+// prioDepart completes the in-service packet at edge's FurthestFirst
+// station.
+func (e *engine) prioDepart(t float64, edge int) {
+	finished, _, hasNext := e.prio[edge].Complete()
 	if hasNext {
 		e.tree.Schedule(edge, t+e.serviceTime(edge), evPack(evDeparture, edge))
 	} else {
@@ -831,14 +778,8 @@ func (e *engine) advance(t float64, h int32, edge int) {
 	if e.cfg.Saturated != nil && e.cfg.Saturated[edge] {
 		e.rsNow--
 	}
-	var done bool
-	if e.tab != nil {
-		p.cur = e.edgeTo[edge]
-		done = p.cur == p.dst
-	} else {
-		p.hop++
-		done = int(p.hop) == len(e.arena.route(h))
-	}
+	p.cur = e.edgeTo[edge]
+	done := p.cur == p.dst
 	if done {
 		e.bumpN(t, -1)
 	}

@@ -24,13 +24,25 @@ func (oneEdge) EdgeFrom(e int) int { return 0 }
 func (oneEdge) EdgeTo(e int) int   { return 1 }
 func (oneEdge) SourceNodes() []int { return []int{0} }
 
-// oneEdgeRouter always routes over the single edge.
+// oneEdgeRouter routes from node 0 over the single edge.
 type oneEdgeRouter struct{}
 
 func (oneEdgeRouter) AppendRoute(buf []int, src, dst int, _ *xrand.RNG) []int {
+	if src == dst {
+		return buf
+	}
 	return append(buf, 0)
 }
-func (oneEdgeRouter) MaxRouteLen() int { return 1 }
+func (r oneEdgeRouter) Steppers() []routing.Stepper { return []routing.Stepper{r} }
+func (oneEdgeRouter) NextEdge(cur, dst int) (int, bool) {
+	return 0, cur == dst
+}
+func (oneEdgeRouter) RemainingHops(cur, dst int) int {
+	if cur == dst {
+		return 0
+	}
+	return 1
+}
 
 func singleQueueConfig(lambda float64, disc Discipline, svc ServiceModel, seed uint64) Config {
 	return Config{

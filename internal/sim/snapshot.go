@@ -25,12 +25,11 @@ package sim
 // exact integer arithmetic, so they equal the uninterrupted run's
 // incrementally maintained values bit for bit.
 //
-// Checkpoints cover the engine's fast path: FIFO discipline, stepper
-// routing (packets carry no materialized route) and the merged Poisson,
-// per-node Poisson or slotted arrival models. PS and FurthestFirst
-// stations, custom Arrivals processes and MaterializeRoutes runs are
-// rejected at Capture and Resume — their in-flight state (remaining PS
-// work, route slices, process internals) is not serializable here.
+// Checkpoints cover the engine's fast path: FIFO discipline and the merged
+// Poisson, per-node Poisson or slotted arrival models. PS and FurthestFirst
+// stations and custom Arrivals processes are rejected at Capture and
+// Resume — their in-flight state (remaining PS work, process internals) is
+// not serialized here.
 //
 // Resuming at a different NodeRate warm-starts the next point of a
 // ρ-ladder: the merged clock's next arrival is redrawn at the new rate
@@ -46,7 +45,6 @@ import (
 	"math"
 
 	"repro/internal/des"
-	"repro/internal/routing"
 )
 
 // Snapshot is a serializable steady-state checkpoint of an event-driven
@@ -87,24 +85,6 @@ type Snapshot struct {
 	PktCur    []int32
 	PktDst    []int32
 	PktChoice []uint8
-}
-
-// snapshotGate reports whether cfg is on the checkpointable path, with a
-// reason when not. It needs the resolved stepper state, so it runs in
-// Runner.Run after validation.
-func snapshotGate(cfg Config) error {
-	switch {
-	case cfg.Discipline != FIFO:
-		return fmt.Errorf("sim: snapshots support only the FIFO discipline (in-flight PS/priority state is not serialized)")
-	case cfg.Arrivals != nil:
-		return fmt.Errorf("sim: snapshots do not support custom Arrivals processes (their internal state is not serialized)")
-	case cfg.MaterializeRoutes:
-		return fmt.Errorf("sim: snapshots require stepper routing (materialized route slices are not serialized)")
-	}
-	if _, _, ok := routing.Steppers(cfg.Router); !ok {
-		return fmt.Errorf("sim: snapshots require a router implementing routing.Stepper; %T does not", cfg.Router)
-	}
-	return nil
 }
 
 // snapshot exports the engine's end-of-run state. The loop has drained

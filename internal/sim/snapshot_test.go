@@ -210,8 +210,8 @@ func TestSimSnapshotDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestSimSnapshotGate pins the path restrictions: PS/priority disciplines,
-// custom arrival processes and materialized routes cannot checkpoint.
+// TestSimSnapshotGate pins the path restrictions: PS/priority disciplines
+// and custom arrival processes cannot checkpoint.
 func TestSimSnapshotGate(t *testing.T) {
 	base := arrayConfig(4, 0.5, 37)
 	base.Warmup, base.Horizon = 50, 300
@@ -221,12 +221,6 @@ func TestSimSnapshotGate(t *testing.T) {
 	ps.Capture = true
 	if _, err := Run(ps); err == nil {
 		t.Error("PS run accepted Capture")
-	}
-	mat := base
-	mat.MaterializeRoutes = true
-	mat.Capture = true
-	if _, err := Run(mat); err == nil {
-		t.Error("MaterializeRoutes run accepted Capture")
 	}
 
 	cap := base

@@ -82,10 +82,9 @@ import (
 type Config struct {
 	// Net is the network topology.
 	Net topology.Network
-	// Router generates packet routes. It must expose an incremental form
-	// (routing.Stepper or routing.ChoiceRouter — all routers in
-	// internal/routing do); materialized AppendRoute-only routers are
-	// rejected.
+	// Router generates packet routes. Packets walk its Steppers one edge
+	// at a time; a routing.ChoiceRouter's Choose picks each packet's
+	// stepper at generation.
 	Router routing.Router
 	// Dest samples packet destinations. Samplers must be pure given (src,
 	// rng) — every sampler in internal/routing and internal/workload is —
@@ -168,8 +167,9 @@ type Config struct {
 
 // Result holds the measurements of one slotted run.
 type Result struct {
-	// MeanDelay is the mean packet delay in slots (zero-hop packets count
-	// with delay 0, as in the paper's model).
+	// MeanDelay is the mean packet delay in slots. Zero-hop packets
+	// (destination equal to source) count with delay 0; the paper's
+	// Table I appears to exclude them (see ROADMAP.md).
 	MeanDelay float64
 	// Delay holds full per-packet statistics.
 	Delay stats.Welford
@@ -268,7 +268,8 @@ type movedRec struct {
 	src  int32
 }
 
-// resolveConfig validates cfg and resolves the router's incremental form.
+// resolveConfig validates cfg and resolves the router's steppers and
+// per-packet choice function.
 func resolveConfig(cfg Config) (steppers []routing.Stepper, choose func(*xrand.RNG) int, err error) {
 	if cfg.Net == nil || cfg.Router == nil || cfg.Dest == nil {
 		return nil, nil, fmt.Errorf("stepsim: Net, Router and Dest are required")
@@ -279,10 +280,7 @@ func resolveConfig(cfg Config) (steppers []routing.Stepper, choose func(*xrand.R
 	if cfg.Lookahead < 0 {
 		return nil, nil, fmt.Errorf("stepsim: negative Lookahead %d", cfg.Lookahead)
 	}
-	steppers, choose, ok := routing.Steppers(cfg.Router)
-	if !ok {
-		return nil, nil, fmt.Errorf("stepsim: router %T does not implement routing.Stepper; the slotted engine routes implicitly (the materialized-route implementation survives only as the test oracle)", cfg.Router)
-	}
+	steppers, choose = routing.Steppers(cfg.Router)
 	if len(steppers) > entChoiceMask+1 {
 		return nil, nil, fmt.Errorf("stepsim: router %T exposes %d steppers, more than the %d a ring entry can index", cfg.Router, len(steppers), entChoiceMask+1)
 	}

@@ -166,8 +166,8 @@ func (r *Report) Score(liars []int32) (flagged, falsePositives, missed int) {
 // Detect runs the probe experiments and assembles the report.
 func Detect(cfg Config) (*Report, error) {
 	n := cfg.Net.NumNodes()
-	steppers, choose, ok := routing.Steppers(cfg.Router)
-	if !ok || choose != nil || len(steppers) != 1 {
+	steppers, choose := routing.Steppers(cfg.Router)
+	if choose != nil || len(steppers) != 1 {
 		return nil, fmt.Errorf("verify: detection needs a single deterministic stepper router (e.g. greedy-xy); %T is not one", cfg.Router)
 	}
 	var tab routing.Table

@@ -43,10 +43,7 @@ type Analysis struct {
 // is deterministic bit for bit. svcMean optionally gives per-edge mean
 // service times (nil = unit service).
 func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMean []float64) (*Analysis, error) {
-	steppers, choose, ok := routing.Steppers(router)
-	if !ok {
-		return nil, fmt.Errorf("workload: router %T exposes no steppers; cannot analyze exactly", router)
-	}
+	steppers, choose := routing.Steppers(router)
 	if svcMean != nil && len(svcMean) != net.NumEdges() {
 		return nil, fmt.Errorf("workload: svcMean has %d entries, want %d", len(svcMean), net.NumEdges())
 	}

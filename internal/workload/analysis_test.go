@@ -162,10 +162,7 @@ func TestAnalyzeGolden(t *testing.T) {
 // and requires the same bits as the default (possibly closed-form) walk.
 func checkConservation(tb testing.TB, net topology.Network, router routing.Router, demand *Demand, an *Analysis) {
 	tb.Helper()
-	steppers, choose, ok := routing.Steppers(router)
-	if !ok {
-		tb.Fatalf("%s: router %T has no steppers", net.Name(), router)
-	}
+	steppers, choose := routing.Steppers(router)
 	sources := topology.Sources(net)
 	var tab, generic routing.Table
 	tab.Init(net, steppers, choose, true)

@@ -507,15 +507,11 @@ func (s Scenario) Bind() (*Bound, error) {
 // a load point means the same offered traffic as the event engine's
 // SlotTau = 1 mode) and the horizon/warmup rounded to whole slots. Only
 // Poisson arrivals have a slotted counterpart: bursty and periodic
-// scenarios are rejected, as are routers without an incremental stepper
-// form (none of the built-ins are).
+// scenarios are rejected.
 func (b *Bound) SlottedConfigs() ([]stepsim.Config, error) {
 	s := b.Scenario.withDefaults()
 	if kind := s.Arrivals.withDefaults().Kind; kind != "poisson" {
 		return nil, fmt.Errorf("workload: scenario %q uses %s arrivals; the slotted engine models only per-slot Poisson batches", s.Name, kind)
-	}
-	if _, _, ok := routing.Steppers(b.Router); !ok {
-		return nil, fmt.Errorf("workload: scenario %q router %T has no incremental stepper form required by the slotted engine", s.Name, b.Router)
 	}
 	slots := int(s.Horizon + 0.5)
 	warmup := int(s.Warmup + 0.5)
