@@ -125,9 +125,10 @@ func BenchmarkScenarioSweep(b *testing.B) {
 
 // BenchmarkBind measures Scenario.Bind, which is dominated by the exact
 // traffic analysis (workload.Analyze: every (source, destination) route
-// walked hop by hop, then λ = a + λP solved). array32-uniform is the
-// 32×32 ladder the event-engine benchmark workload binds; array8-uniform
-// is the size of one sweep-service job, bound on every submit.
+// walked hop by hop, each adding its demand to the edges it crosses).
+// array32-uniform is the 32×32 ladder the event-engine benchmark workload
+// binds; array8-uniform is the size of one sweep-service job, bound on
+// every submit.
 // array32-randgreedy walks the route table's closed-form path with two
 // steppers; torus32-uniform walks its generic Stepper fallback.
 func BenchmarkBind(b *testing.B) {

@@ -185,9 +185,9 @@
 // simulator and an exact distribution P[dst|src] for analytics. Eight
 // built-ins cover the classic interconnect patterns: uniform, hot-spot,
 // transpose, bit reversal, bit complement, tornado, nearest-neighbor and
-// Zipf-over-distance. The demand-matrix → queueing.Traffic bridge solves
-// the traffic equations λ = a + λP for exact per-edge rates, the
-// bottleneck edge, and the saturation rate λ*, letting declarative
+// Zipf-over-distance. Analysis walks every (source, destination) route
+// of the demand and sums the flow on each edge into exact per-edge rates,
+// the bottleneck edge, and the saturation rate λ*, letting declarative
 // Scenario specs express load points as fractions of λ* across any
 // pattern. sim.ArrivalProcess generalizes the merged Poisson clock to
 // MMPP/on-off bursty sources and deterministic periodic injection without

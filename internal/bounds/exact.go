@@ -38,7 +38,7 @@ func UniformOverDist(nodes []int) DestDist {
 // λ_e = Σ_{s,d : e ∈ route(s,d)} nodeRate·P[d|s]. This is the combinatorial
 // computation behind Theorem 6, usable for any topology and destination
 // distribution, and it cross-validates both the closed forms and the
-// traffic-equation solver (workload.Analyze).
+// table-driven route walk behind workload.Analyze.
 //
 // dests may be nil to consider every node a possible destination.
 func ExactEdgeRates(net topology.Network, r routing.Router, nodeRate float64, dist DestDist, dests []int) []float64 {

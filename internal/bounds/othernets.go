@@ -66,9 +66,6 @@ func CubeSTGapLimit(d int) float64 { return 2 * float64(d) }
 
 // --- Butterfly (d levels) ---
 
-// ButterflyMeanDist returns d: every packet crosses exactly d edges.
-func ButterflyMeanDist(d int) float64 { return float64(d) }
-
 // ButterflyEdgeRate returns λ/2, carried by every butterfly edge; all
 // queues saturate together, which is why Theorem 14 cannot improve on
 // Theorem 10 here.
@@ -113,13 +110,6 @@ func KDMeanDist(k, n int) float64 {
 	nn := float64(n)
 	return float64(k) * (nn*nn - 1) / (3 * nn)
 }
-
-// KDLoad returns ρ = λ·⌊n²/4⌋/n; the per-dimension Theorem 6 rates carry
-// over unchanged because greedy fixes dimensions one at a time.
-func KDLoad(n int, lambda float64) float64 { return Load(n, lambda) }
-
-// KDStabilityLimit matches the 2-D threshold: 4/n (even), 4n/(n²-1) (odd).
-func KDStabilityLimit(n int) float64 { return StabilityLimit(n) }
 
 // kdSumOverRates evaluates (2k/(λn))·Σ_{i=1}^{n-1} f(r_i): the k-dimensional
 // array has 2k·n^{k-1} edges of each rate index and Λ = λn^k.
@@ -192,9 +182,6 @@ func TorusMinusRate(n int, lambda float64) float64 {
 	}
 	return TorusPlusRate(n, lambda)
 }
-
-// TorusLoad returns ρ = max edge load = TorusPlusRate.
-func TorusLoad(n int, lambda float64) float64 { return TorusPlusRate(n, lambda) }
 
 // TorusStabilityLimit returns the largest stable per-node rate:
 // 8/(n+2) for even n, 8n/(n²-1) for odd n — roughly twice the array's.

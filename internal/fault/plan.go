@@ -184,9 +184,6 @@ func invertIndex(n int, ids []int32) []int32 {
 	return idx
 }
 
-// HasMarkov reports whether any up/down Markov process is active.
-func (p *Plan) HasMarkov() bool { return len(p.FaultEdges) > 0 || len(p.FaultNodes) > 0 }
-
 // HasLiars reports whether any node misbehaves.
 func (p *Plan) HasLiars() bool { return len(p.Liars) > 0 }
 

@@ -1,8 +1,9 @@
 // Package queueing provides the classical queueing-theory results the paper
 // builds on: M/M/1 and M/D/1 queues, the Pollaczek–Khinchin mean-value
 // formula for M/G/1, Little's law, product-form (Jackson) network
-// evaluation, the traffic equations for open networks, and the Theorem 15
-// optimal service-rate allocation under a linear cost constraint.
+// evaluation, per-queue utilizations and the bottleneck queue, and the
+// Theorem 15 optimal service-rate allocation under a linear cost
+// constraint.
 //
 // Conventions: rates are events per unit time; "number in system" N counts
 // customers both waiting and in service; "delay" T is the total time in
@@ -146,6 +147,37 @@ func Load(lambda, phi []float64) float64 {
 		}
 	}
 	return rho
+}
+
+// Utilizations converts per-queue arrival rates into utilizations
+// ρ_j = λ_j·s_j. svcMean may be nil for unit service everywhere.
+// internal/workload applies it to the per-edge rates of a demand's route
+// walk and reads stability off the result.
+func Utilizations(lambda, svcMean []float64) ([]float64, error) {
+	if svcMean != nil && len(svcMean) != len(lambda) {
+		return nil, fmt.Errorf("queueing: svcMean has %d entries, want %d", len(svcMean), len(lambda))
+	}
+	util := make([]float64, len(lambda))
+	for j, l := range lambda {
+		s := 1.0
+		if svcMean != nil {
+			s = svcMean[j]
+		}
+		util[j] = l * s
+	}
+	return util, nil
+}
+
+// Bottleneck returns the index and value of the maximum utilization (the
+// saturating queue); index -1 on an empty slice.
+func Bottleneck(util []float64) (int, float64) {
+	idx, max := -1, 0.0
+	for j, u := range util {
+		if idx == -1 || u > max {
+			idx, max = j, u
+		}
+	}
+	return idx, max
 }
 
 // OptimalAllocation computes Theorem 15's service-rate assignment: given

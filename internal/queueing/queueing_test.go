@@ -224,97 +224,3 @@ func TestOptimalAllocationInfeasible(t *testing.T) {
 		t.Error("OptimalNumber infeasible accepted")
 	}
 }
-
-func TestTrafficTandem(t *testing.T) {
-	// Two queues in tandem: all of queue 0's output enters queue 1.
-	tr := NewTraffic(2)
-	tr.External[0] = 0.7
-	tr.Routes[0] = []Transition{{To: 1, Prob: 1}}
-	want := []float64{0.7, 0.7}
-	for name, solve := range map[string]func() ([]float64, error){
-		"iterative": func() ([]float64, error) { return tr.SolveIterative(1e-12, 10000) },
-		"dense":     func() ([]float64, error) { return tr.SolveDense() },
-	} {
-		got, err := solve()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for j := range want {
-			if !almost(got[j], want[j], 1e-9) {
-				t.Errorf("%s: lambda[%d] = %v, want %v", name, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-func TestTrafficFeedback(t *testing.T) {
-	// Single queue with feedback probability 1/2: λ = a/(1-1/2) = 2a.
-	tr := NewTraffic(1)
-	tr.External[0] = 0.3
-	tr.Routes[0] = []Transition{{To: 0, Prob: 0.5}}
-	it, err := tr.SolveIterative(1e-12, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	de, err := tr.SolveDense()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(it[0], 0.6, 1e-9) || !almost(de[0], 0.6, 1e-9) {
-		t.Errorf("feedback: iterative %v dense %v, want 0.6", it[0], de[0])
-	}
-}
-
-func TestTrafficSolversAgreeRandomNetworks(t *testing.T) {
-	// Property: both solvers agree on random substochastic networks.
-	f := func(seed uint8) bool {
-		nq := int(seed%5) + 2
-		tr := NewTraffic(nq)
-		s := uint64(seed) + 1
-		next := func() float64 { // deterministic pseudo-random in [0,1)
-			s = s*6364136223846793005 + 1442695040888963407
-			return float64(s>>11) / (1 << 53)
-		}
-		for j := 0; j < nq; j++ {
-			tr.External[j] = next() * 0.5
-			remaining := 0.9
-			for k := 0; k < nq; k++ {
-				p := next() * remaining / 2
-				remaining -= p
-				tr.Routes[j] = append(tr.Routes[j], Transition{To: k, Prob: p})
-			}
-		}
-		it, err1 := tr.SolveIterative(1e-12, 100000)
-		de, err2 := tr.SolveDense()
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for j := range it {
-			if !almost(it[j], de[j], 1e-6) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTrafficValidate(t *testing.T) {
-	tr := NewTraffic(2)
-	tr.Routes[0] = []Transition{{To: 0, Prob: 0.7}, {To: 1, Prob: 0.7}}
-	if err := tr.Validate(); err == nil {
-		t.Error("outflow > 1 accepted")
-	}
-	tr2 := NewTraffic(1)
-	tr2.External[0] = -1
-	if err := tr2.Validate(); err == nil {
-		t.Error("negative external rate accepted")
-	}
-	tr3 := NewTraffic(1)
-	tr3.Routes[0] = []Transition{{To: 5, Prob: 0.1}}
-	if err := tr3.Validate(); err == nil {
-		t.Error("out-of-range transition accepted")
-	}
-}

@@ -129,9 +129,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	return &Journal{root: dir}, nil
 }
 
-// Root returns the journal's root directory.
-func (jl *Journal) Root() string { return jl.root }
-
 func (jl *Journal) jobsDir() string         { return filepath.Join(jl.root, "jobs") }
 func (jl *Journal) JobDir(id string) string { return filepath.Join(jl.jobsDir(), id) }
 

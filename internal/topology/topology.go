@@ -58,15 +58,6 @@ type Restrict struct {
 // SourceNodes implements SourceSet.
 func (r Restrict) SourceNodes() []int { return r.Nodes }
 
-// CheckEdge panics if e is out of range for net. It exists so that routing
-// bugs surface at the point of generation rather than as corrupt simulator
-// state.
-func CheckEdge(net Network, e int) {
-	if e < 0 || e >= net.NumEdges() {
-		panic(fmt.Sprintf("topology: edge %d out of range [0,%d) for %s", e, net.NumEdges(), net.Name()))
-	}
-}
-
 // FindEdge scans for the directed edge from->to and reports whether it
 // exists. It is O(NumEdges) and intended for tests and validation, not the
 // simulation fast path.

@@ -11,9 +11,9 @@ import (
 )
 
 // TestAnalysisMatchesCombinatorialRates cross-validates the two analytic
-// pipelines for every pattern: the demand-matrix → queueing.Traffic →
-// traffic-equation path (Analyze) must reproduce the direct combinatorial
-// route enumeration (bounds.ExactEdgeRates) to solver precision.
+// pipelines for every pattern: the table-driven route walk (Analyze) must
+// reproduce the AppendRoute enumeration (bounds.ExactEdgeRates) to within
+// float summation order.
 func TestAnalysisMatchesCombinatorialRates(t *testing.T) {
 	cases := []struct {
 		net    topology.Network
@@ -32,7 +32,7 @@ func TestAnalysisMatchesCombinatorialRates(t *testing.T) {
 			exact := bounds.ExactEdgeRates(c.net, c.router, 1, d.Prob, nil)
 			for e := range exact {
 				if math.Abs(an.EdgeRates[e]-exact[e]) > 1e-8 {
-					t.Fatalf("%s on %s: edge %d traffic-equation rate %v != combinatorial %v",
+					t.Fatalf("%s on %s: edge %d analysis rate %v != combinatorial %v",
 						name, c.net.Name(), e, an.EdgeRates[e], exact[e])
 				}
 			}

@@ -13,10 +13,10 @@
 //     routing.DestSampler (drives the simulator) and an exact distribution
 //     P[dst|src] (drives the analytic pipeline and the simulator's
 //     stability check).
-//   - Analysis (analysis.go): a Demand plus a router lowered through the
-//     demand-matrix → queueing.Traffic bridge to exact per-edge rates λ_e,
-//     utilizations, the bottleneck edge, and the analytic saturation rate
-//     λ* — all before a single packet is simulated.
+//   - Analysis (analysis.go): a Demand plus a router lowered by one walk
+//     over every route to exact per-edge rates λ_e, utilizations, the
+//     bottleneck edge, and the analytic saturation rate λ* — all before a
+//     single packet is simulated.
 //   - Scenario (scenario.go): a declarative spec — topology, router,
 //     pattern, arrival process, load points, replicas — that validates and
 //     lowers to []sim.Config for sim.StreamSweep. A registry of named
