@@ -124,34 +124,41 @@ func BenchmarkScenarioSweep(b *testing.B) {
 }
 
 // BenchmarkBind measures Scenario.Bind, which is dominated by the exact
-// traffic analysis (workload.Analyze: every (source, destination) route
-// walked hop by hop, each adding its demand to the edges it crosses).
-// array32-uniform is the 32×32 ladder the event-engine benchmark workload
-// binds; array8-uniform is the size of one sweep-service job, bound on
-// every submit.
+// traffic analysis (workload.Analyze: for each destination and stepper
+// choice the routes form an in-forest, and every node's flow is pushed
+// once along it). array32-uniform is the 32×32 ladder the event-engine
+// benchmark workload binds; array8-uniform is the size of one
+// sweep-service job, bound on every submit.
 // array32-randgreedy walks the route table's closed-form path with two
-// steppers; torus32-uniform walks its generic Stepper fallback.
+// steppers; torus32-uniform walks its generic Stepper fallback. The
+// 4096-node cases (array64, torus64, kd16x3) are the scale target;
+// array64-transpose is the sparse-demand guard, where each destination's
+// forest is a single route.
 func BenchmarkBind(b *testing.B) {
 	ladder := []float64{0.3, 0.6, 0.8, 0.9}
 	cases := []struct {
-		name   string
-		kind   string
-		n      int
-		router string
-		loads  []float64
+		name    string
+		topo    workload.TopologySpec
+		router  string
+		pattern string
+		loads   []float64
 	}{
-		{"array32-uniform", "array", 32, "", ladder},
-		{"array8-uniform", "array", 8, "", []float64{0.3, 0.6, 0.8}},
-		{"array32-randgreedy", "array", 32, "rand-greedy", ladder},
-		{"torus32-uniform", "torus", 32, "", ladder},
+		{"array32-uniform", workload.TopologySpec{Kind: "array", N: 32}, "", "uniform", ladder},
+		{"array8-uniform", workload.TopologySpec{Kind: "array", N: 8}, "", "uniform", []float64{0.3, 0.6, 0.8}},
+		{"array32-randgreedy", workload.TopologySpec{Kind: "array", N: 32}, "rand-greedy", "uniform", ladder},
+		{"torus32-uniform", workload.TopologySpec{Kind: "torus", N: 32}, "", "uniform", ladder},
+		{"array64-uniform", workload.TopologySpec{Kind: "array", N: 64}, "", "uniform", ladder},
+		{"torus64-uniform", workload.TopologySpec{Kind: "torus", N: 64}, "", "uniform", ladder},
+		{"kd16x3-uniform", workload.TopologySpec{Kind: "kd", N: 16, K: 3}, "", "uniform", ladder},
+		{"array64-transpose", workload.TopologySpec{Kind: "array", N: 64}, "", "transpose", ladder},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			s := workload.Scenario{
 				Name:     c.name,
-				Topology: workload.TopologySpec{Kind: c.kind, N: c.n},
+				Topology: c.topo,
 				Router:   c.router,
-				Pattern:  workload.PatternSpec{Kind: "uniform"},
+				Pattern:  workload.PatternSpec{Kind: c.pattern},
 				Loads:    c.loads,
 			}
 			b.ReportAllocs()

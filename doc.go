@@ -185,11 +185,14 @@
 // simulator and an exact distribution P[dst|src] for analytics. Eight
 // built-ins cover the classic interconnect patterns: uniform, hot-spot,
 // transpose, bit reversal, bit complement, tornado, nearest-neighbor and
-// Zipf-over-distance. Analysis walks every (source, destination) route
-// of the demand and sums the flow on each edge into exact per-edge rates,
-// the bottleneck edge, and the saturation rate λ*, letting declarative
-// Scenario specs express load points as fractions of λ* across any
-// pattern. sim.ArrivalProcess generalizes the merged Poisson clock to
+// Zipf-over-distance. Analysis sums the demand of every (source,
+// destination) route on each edge into exact per-edge rates, the
+// bottleneck edge, and the saturation rate λ*. It walks no route per
+// pair: greedy routing's next edge depends only on the current node and
+// the destination, so the routes toward one destination form an
+// in-forest, and each node's flow is pushed once along it (a 64×64 Bind
+// in well under a second). Declarative Scenario specs so express load
+// points as fractions of λ* across any pattern. sim.ArrivalProcess generalizes the merged Poisson clock to
 // MMPP/on-off bursty sources and deterministic periodic injection without
 // touching the allocation-free event loop (the process shares the
 // out-of-tree merged-clock scalars; the Poisson default path is

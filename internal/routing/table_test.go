@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -53,7 +52,7 @@ func TestTableMatchesSteppers(t *testing.T) {
 	}
 }
 
-// checkTable compares every table step, path and hop count with the
+// checkTable compares every table step and hop count with the
 // stepper it stands for and checks the key tables' consistency.
 func checkTable(t *testing.T, tab *Table, net topology.Network, steppers []Stepper) {
 	t.Helper()
@@ -67,15 +66,10 @@ func checkTable(t *testing.T, tab *Table, net topology.Network, steppers []Stepp
 			t.Fatalf("EdgeKey[%d] = %d, want NodeKey of head %d", e, tab.EdgeKey[e], net.EdgeTo(e))
 		}
 	}
-	var path []int32
 	for cur := 0; cur < net.NumNodes(); cur++ {
 		for dst := 0; dst < net.NumNodes(); dst++ {
 			pos, key := tab.NodeKey[cur], tab.NodeKey[dst]
 			for choice, st := range steppers {
-				path = tab.AppendPath(path[:0], pos, key, uint32(choice))
-				if !slices.Equal(path, stepperPath(st, net, cur, dst)) {
-					t.Fatalf("choice %d: %d->%d path %v, stepper walks %v", choice, cur, dst, path, stepperPath(st, net, cur, dst))
-				}
 				if got, want := tab.Hops(pos, key, uint32(choice)), st.RemainingHops(cur, dst); got != want {
 					t.Fatalf("choice %d: %d->%d hops %d, stepper says %d", choice, cur, dst, got, want)
 				}
@@ -86,19 +80,6 @@ func checkTable(t *testing.T, tab *Table, net topology.Network, steppers []Stepp
 				}
 			}
 		}
-	}
-}
-
-// stepperPath walks st from cur to dst one NextEdge at a time.
-func stepperPath(st Stepper, net topology.Network, cur, dst int) []int32 {
-	var path []int32
-	for {
-		e, done := st.NextEdge(cur, dst)
-		if done {
-			return path
-		}
-		path = append(path, int32(e))
-		cur = net.EdgeTo(e)
 	}
 }
 

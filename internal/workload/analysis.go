@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/queueing"
 	"repro/internal/routing"
@@ -36,9 +37,11 @@ type Analysis struct {
 }
 
 // Analyze lowers a Demand to per-edge rates: every (source, destination)
-// pair is walked through the router's steppers (randomized choice routers
-// average uniformly, matching RandGreedy's fair coin) and each route adds
-// its demand to every edge it crosses. The walk is exact and repeated on
+// route of the router's steppers carries its demand across the edges it
+// crosses (randomized choice routers average uniformly, matching
+// RandGreedy's fair coin). Routes are not walked pair by pair: for each
+// destination and choice they form an in-forest, and buildTraffic pushes
+// each node's flow once along it. The analysis is exact and repeated on
 // every call (nothing is cached across calls), and its result is
 // deterministic bit for bit. svcMean optionally gives per-edge mean
 // service times (nil = unit service).
@@ -72,40 +75,108 @@ func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMea
 	return a, nil
 }
 
-// buildTraffic walks every route of the demand at per-node rate 1 and
-// returns the flow each edge carries, λ_e = Σ over (src, dst, choice)
-// routes through e of P[dst|src]/#choices, together with the demand's
-// mean route length.
-//
-// The walk is table-driven. Routes come from tab, the route-step table the
-// simulation engines share, one whole path per (src, dst, stepper) into a
-// scratch buffer: on 2-D arrays with greedy routers a path is two runs of
-// consecutive edge ids computed from packed coordinates, with no interface
-// call, division or per-hop table read; elsewhere it is the stepper's
-// NextEdge walk. Every rate receives its float additions in (src, dst,
-// stepper, hop) order, so the result is fully deterministic.
-func buildTraffic(net topology.Network, tab *routing.Table, demand *Demand, sources []int) ([]float64, float64) {
-	numNodes := net.NumNodes()
-	rates := make([]float64, net.NumEdges())
-	path := make([]int32, 0, 64)
-	numChoices := len(tab.Steppers)
-	totalHops := 0.0
+// sender is one source of a destination's demand: its node and the weight
+// P[dst|src]/#choices it puts on each stepper choice's route.
+type sender struct {
+	node int32
+	w    float64
+}
+
+// appendSenders appends the sources with demand for dst to senders, each
+// weighted per stepper choice, leaving out dst itself (a zero-hop route
+// crosses no edge).
+func appendSenders(senders []sender, demand *Demand, sources []int, dst, numChoices int) []sender {
 	for _, src := range sources {
-		pos := tab.NodeKey[src]
-		for dst := range numNodes {
-			p := demand.Prob(src, dst)
-			if p == 0 {
-				continue
-			}
-			key := tab.NodeKey[dst]
-			w := p / float64(numChoices)
-			for choice := range uint32(numChoices) {
-				path = tab.AppendPath(path[:0], pos, key, choice)
-				for _, e := range path {
-					totalHops += w
-					rates[e] += w
+		if src == dst {
+			continue
+		}
+		if p := demand.Prob(src, dst); p != 0 {
+			senders = append(senders, sender{int32(src), p / float64(numChoices)})
+		}
+	}
+	return senders
+}
+
+// buildTraffic returns the flow each edge carries at per-node rate 1,
+// λ_e = Σ over (src, dst, choice) routes through e of P[dst|src]/#choices,
+// together with the demand's mean route length.
+//
+// No route is walked per pair. A stepper's next edge depends only on the
+// current node and the destination (§1.1), so for one destination d and
+// stepper choice c the routes of all sources form an in-forest rooted at
+// d. For each (d, c), in that order:
+//
+//  1. Find the forest: walk from each source that sends to d, through the
+//     route-step table tab, until the route meets a node already found
+//     (or d). Each node's out edge is looked up once.
+//  2. Seed each source's flow with its weight.
+//  3. Push the flows toward d, the walks last to first and each walk from
+//     its source on. A node's predecessors come before it in its own walk
+//     or lie in a later walk (an earlier walk would have taken the node
+//     in), so every node's inflow is complete before it moves on; no sort
+//     by remaining hops is needed. A push adds the node's flow to its out
+//     edge's rate, to the next node's flow and to the forest's total
+//     route length.
+//
+// Dense demand (uniform, hotspot, zipf) so costs O(N) per (d, c) instead
+// of O(N · hops), and sparse demand (a permutation) costs the hops of its
+// routes, as walking each pair would. The float additions happen in a
+// fixed order, so the result is deterministic bit for bit. Summing each
+// forest's route length apart before adding it to the total keeps
+// MeanHops within a few ulps of exact (TestAnalysisNearExact).
+func buildTraffic(net topology.Network, tab *routing.Table, demand *Demand, sources []int) ([]float64, float64) {
+	numNodes, numEdges := net.NumNodes(), net.NumEdges()
+	rates := make([]float64, numEdges)
+	edgeTo := make([]int32, numEdges)
+	for e := range edgeTo {
+		edgeTo[e] = int32(net.EdgeTo(e))
+	}
+	// mark[v] == forest once v is found in the current forest; out[v] is
+	// then v's out edge and flow[v] the flow it carries.
+	mark := make([]int32, numNodes)
+	out := make([]int32, numNodes)
+	flow := make([]float64, numNodes)
+	senders := make([]sender, 0, len(sources))
+	found := make([]int32, 0, numNodes) // the forest's nodes, each walk reversed
+	keys := tab.NodeKey
+	numChoices := len(tab.Steppers)
+	forest := int32(0)
+	totalHops := 0.0
+	for dst := range numNodes {
+		senders = appendSenders(senders[:0], demand, sources, dst, numChoices)
+		if len(senders) == 0 {
+			continue
+		}
+		key := keys[dst]
+		for choice := range uint32(numChoices) {
+			forest++
+			mark[dst] = forest
+			found = found[:0]
+			for _, s := range senders {
+				start := len(found)
+				for v := s.node; mark[v] != forest; v = edgeTo[out[v]] {
+					mark[v], flow[v] = forest, 0
+					out[v], _ = tab.Next(keys[v], key, choice)
+					found = append(found, v)
 				}
+				if len(found)-start > 1 {
+					slices.Reverse(found[start:])
+				}
+				flow[s.node] += s.w
 			}
+			// Read backward, found lists the walks last to first, each
+			// from its source on. A node's predecessors lie before it in
+			// its own walk or in later walks, so its inflow is complete
+			// when it pushes.
+			hops := 0.0
+			for i := len(found) - 1; i >= 0; i-- {
+				v := found[i]
+				f, e := flow[v], out[v]
+				rates[e] += f
+				flow[edgeTo[e]] += f
+				hops += f
+			}
+			totalHops += hops
 		}
 	}
 	return rates, totalHops / float64(len(sources))

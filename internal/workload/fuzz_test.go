@@ -9,7 +9,8 @@ import (
 // FuzzScenarioBind drives hostile scenario JSON through the full lowering
 // path: ParseScenario, Bind, the traffic analysis's conservation
 // invariants (total flow and per-node flow balance, checkConservation),
-// and idempotence of the canonical form the sweep service
+// its agreement with the pair-walk oracle (checkPairWalk, run by
+// checkConservation), and idempotence of the canonical form the sweep service
 // hashes into cache keys. Specs too large to bind quickly (side > 12,
 // cube dimension > 6, kd dimension count > 3) are skipped before anything
 // is built, since ParseScenario itself binds. Run with:

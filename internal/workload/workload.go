@@ -13,10 +13,12 @@
 //     routing.DestSampler (drives the simulator) and an exact distribution
 //     P[dst|src] (drives the analytic pipeline and the simulator's
 //     stability check).
-//   - Analysis (analysis.go): a Demand plus a router lowered by one walk
-//     over every route to exact per-edge rates λ_e, utilizations, the
-//     bottleneck edge, and the analytic saturation rate λ* — all before a
-//     single packet is simulated.
+//   - Analysis (analysis.go): a Demand plus a router lowered to exact
+//     per-edge rates λ_e, utilizations, the bottleneck edge, and the
+//     analytic saturation rate λ* — all before a single packet is
+//     simulated. The routes toward each destination form an in-forest,
+//     and every node's flow is pushed once along it: O(N) per destination
+//     under dense demand, never more than walking each route.
 //   - Scenario (scenario.go): a declarative spec — topology, router,
 //     pattern, arrival process, load points, replicas — that validates and
 //     lowers to []sim.Config for sim.StreamSweep. A registry of named
